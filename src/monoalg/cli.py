@@ -29,14 +29,21 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import core, enumeration, homogeneity, iso, orbits, semilinear, symbolic
 
+# shape tokens only, with at least one descriptor letter
+_SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
+
 
 def _default_bound() -> int:
     env = os.environ.get("MONOALG_BOUND")
-    return int(env) if env else homogeneity.DEFAULT_BOUND
+    try:
+        return int(env) if env else homogeneity.DEFAULT_BOUND
+    except ValueError:
+        raise ValueError(f"MONOALG_BOUND must be an integer, got {env!r}") from None
 
 
 def _load_any(arg: str):
@@ -50,7 +57,10 @@ def _load_any(arg: str):
         return enumeration.random_algebra(int(n), int(seed))
     if arg.lstrip().startswith("{"):
         return core.from_json(arg)
-    return core.from_text(arg)
+    try:
+        return core.from_text(arg)
+    except ValueError as exc:
+        raise ValueError(f"no such file {arg!r}, and not an inline table either ({exc})") from None
 
 
 def _load_total(arg: str) -> core.FiniteMonounary:
@@ -61,7 +71,7 @@ def _load_total(arg: str) -> core.FiniteMonounary:
 
 
 def _looks_symbolic(arg: str) -> bool:
-    return any(ch in arg for ch in "ZNAB") and not os.path.exists(arg)
+    return _SHAPE.fullmatch(arg) is not None and not os.path.exists(arg)
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -232,7 +242,7 @@ def _cmd_truncate(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    corpus = enumeration.enumerate_up_to_iso(args.n, workers=args.workers)
+    corpus = enumeration.enumerate_up_to_iso(args.n)
     if args.out:
         enumeration.save_corpus(corpus, args.out)
         print(f"wrote {len(corpus.representatives)} classes to {args.out}")
@@ -332,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="all classes up to isomorphism")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out")
 
     p = common(sub.add_parser("semilinear", help="order on the tree above a cyclic element"))
@@ -363,8 +372,8 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _DISPATCH[args.command](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

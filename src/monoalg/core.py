@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator, Sequence, Union
 
@@ -75,66 +76,122 @@ def validate_partial(raw: Sequence[Union[int, None]]) -> PartialMonounary:
 # ---------------------------------------------------------------------------
 # structural invariants
 
-def cyclic_mask(A: FiniteMonounary) -> tuple[bool, ...]:
-    """mask[x] is True iff some positive power of f fixes x.
+class Skeleton:
+    """One indegree peel of a table, read by every structural layer.
 
-    Peels indegree-0 elements; whatever survives lies on a cycle.
+    levels  all elements grouped by rank, children first: a leaf has rank
+            0, any other element one more than its highest-ranked acyclic
+            preimage; acyclic elements peel off level by level
+    cyclic  1 where the indegree never drops to 0 (one cycle preimage is
+            left), else 0
+    cycles  each in operation order from its least element, sorted by it
+    height  least k with f^k(x) cyclic
+    comp    index into `cycles` of the component of x
+    height and comp are read off the reversed levels on first use only.
     """
-    f, n = A.table, A.n
-    indeg = [0] * n
-    for v in f:
-        indeg[v] += 1
-    stack = [x for x in range(n) if indeg[x] == 0]
-    acyclic = [False] * n
-    while stack:
-        x = stack.pop()
-        acyclic[x] = True
-        y = f[x]
-        indeg[y] -= 1
-        if indeg[y] == 0:
-            stack.append(y)
-    return tuple(not a for a in acyclic)
+
+    def __init__(self, table: Sequence[int]):
+        n = len(table)
+        indeg = [0] * n
+        for v in table:
+            indeg[v] += 1
+        rank = [0] * n
+        levels = []
+        layer = [x for x in range(n) if not indeg[x]]
+        while layer:
+            levels.append(layer)
+            r = len(levels)
+            nxt = []
+            for x in layer:
+                y = table[x]
+                rank[y] = r  # the last child to peel has the highest rank
+                indeg[y] -= 1
+                if not indeg[y]:
+                    nxt.append(y)
+            layer = nxt
+        levels.append([])
+        cycles = []
+        seen = [False] * n
+        for s in range(n):
+            if indeg[s] and not seen[s]:
+                cycle = []
+                x = s
+                while not seen[x]:
+                    seen[x] = True
+                    cycle.append(x)
+                    levels[rank[x]].append(x)
+                    x = table[x]
+                cycles.append(cycle)
+        if not levels[-1]:
+            levels.pop()
+        self.table, self.levels, self.cyclic, self.cycles = table, levels, indeg, cycles
+
+    def _parents_first(self) -> Iterator[int]:
+        return (x for level in reversed(self.levels) for x in level if not self.cyclic[x])
+
+    @cached_property
+    def height(self) -> list[int]:
+        table = self.table
+        h = [0] * len(table)
+        for x in self._parents_first():
+            h[x] = h[table[x]] + 1
+        return h
+
+    @cached_property
+    def comp(self) -> list[int]:
+        table = self.table
+        c = [0] * len(table)
+        for i, cycle in enumerate(self.cycles):
+            for x in cycle:
+                c[x] = i
+        for x in self._parents_first():
+            c[x] = c[table[x]]
+        return c
+
+    def children(self) -> list[list[int]]:
+        """Per element, its acyclic preimages in ascending order."""
+        kids: list[list[int]] = [[] for _ in self.table]
+        cyclic = self.cyclic
+        for x, v in enumerate(self.table):
+            if not cyclic[x]:
+                kids[v].append(x)
+        return kids
+
+    def blocks(self) -> list[list[int]]:
+        """Elements of each component, ascending, indexed like `cycles`."""
+        out: list[list[int]] = [[] for _ in self.cycles]
+        for x, c in enumerate(self.comp):
+            out[c].append(x)
+        return out
+
+    def tree_above(self, z: int) -> list[int]:
+        """z plus every acyclic element whose forward orbit reaches z
+        before it reaches a cycle, ascending."""
+        kids = self.children()
+        block = [z]
+        for x in block:
+            block.extend(kids[x])
+        return sorted(block)
+
+
+def cyclic_mask(A: FiniteMonounary) -> tuple[bool, ...]:
+    """mask[x] is True iff some positive power of f fixes x."""
+    return tuple(map(bool, Skeleton(A.table).cyclic))
 
 
 def acyclic_children(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     """Per element, its acyclic preimages in ascending order."""
-    cyc = cyclic_mask(A)
-    kids: list[list[int]] = [[] for _ in range(A.n)]
-    for x in range(A.n):
-        if not cyc[x]:
-            kids[A.table[x]].append(x)
-    return tuple(tuple(k) for k in kids)
+    return tuple(tuple(k) for k in Skeleton(A.table).children())
 
 
 def cycles_of(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     """All cycles, each listed in operation order starting at its least element."""
-    cyc, f = cyclic_mask(A), A.table
-    seen = [False] * A.n
-    out = []
-    for x in range(A.n):
-        if cyc[x] and not seen[x]:
-            cycle = []
-            cur = x
-            while not seen[cur]:
-                seen[cur] = True
-                cycle.append(cur)
-                cur = f[cur]
-            out.append(tuple(cycle))
-    return tuple(out)
+    return tuple(tuple(c) for c in Skeleton(A.table).cycles)
 
 
 def heights(A: FiniteMonounary) -> tuple[int, ...]:
     """Least k with f^k(x) cyclic, per element."""
-    kids = acyclic_children(A)
-    cyc = cyclic_mask(A)
-    h = [0] * A.n
-    stack = [x for x in range(A.n) if cyc[x]]
-    while stack:
-        x = stack.pop()
-        for k in kids[x]:
-            h[k] = h[x] + 1
-            stack.append(k)
-    return tuple(h)
+    return tuple(Skeleton(A.table).height)
 
 
 def components(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
@@ -143,16 +200,7 @@ def components(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     Each component contains exactly one cycle; the block is that cycle
     plus everything whose forward orbit falls into it.
     """
-    kids = acyclic_children(A)
-    comps = []
-    for cycle in cycles_of(A):
-        block = list(cycle)
-        i = 0
-        while i < len(block):
-            block.extend(kids[block[i]])
-            i += 1
-        comps.append(tuple(sorted(block)))
-    return tuple(sorted(comps))
+    return tuple(sorted(tuple(b) for b in Skeleton(A.table).blocks()))
 
 
 @dataclass(frozen=True)
@@ -184,22 +232,21 @@ class StructureReport:
 
 
 def structure_report(A: FiniteMonounary) -> StructureReport:
-    comps = components(A)
-    cyc = cyclic_mask(A)
-    hts = heights(A)
+    sk = Skeleton(A.table)
+    blocks = sk.blocks()
+    comps = tuple(sorted(tuple(b) for b in blocks))
     image = set(A.table)
     leaves = frozenset(x for x in range(A.n) if x not in image)
-    cycle_sizes = tuple(sorted(len(c) for c in cycles_of(A)))
     purely_cyclic = tuple(
-        frozenset(c) for c in comps if all(cyc[x] for x in c)
+        frozenset(b) for b, c in zip(blocks, sk.cycles) if len(b) == len(c)
     )
     return StructureReport(
         components=comps,
-        cyclic=frozenset(x for x in range(A.n) if cyc[x]),
-        heights=hts,
-        height=max(hts),
+        cyclic=frozenset(x for x in range(A.n) if sk.cyclic[x]),
+        heights=tuple(sk.height),
+        height=max(sk.height),
         leaves=leaves,
-        cycle_sizes=cycle_sizes,
+        cycle_sizes=tuple(sorted(len(c) for c in sk.cycles)),
         min_generating=MinimalGenerators(leaves, purely_cyclic),
     )
 
@@ -256,13 +303,7 @@ def upper_set(A: FiniteMonounary, z: int) -> tuple[PartialMonounary, tuple[int, 
     (the image of z itself usually escapes)."""
     if not 0 <= z < A.n:
         raise ValueError(f"element out of range: {z}")
-    kids = acyclic_children(A)
-    block = [z]
-    i = 0
-    while i < len(block):
-        block.extend(kids[block[i]])
-        i += 1
-    return partial_restrict(A, block)
+    return partial_restrict(A, Skeleton(A.table).tree_above(z))
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ table space is n^n, so n is capped at 7 (823543 raw tables).
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import product
 
 from .core import FiniteMonounary
 from .iso import table_certificate
@@ -26,46 +25,20 @@ class Corpus:
     representatives: tuple[FiniteMonounary, ...]
 
 
-def _bucket_chunk(n: int, start: int, stop: int) -> dict:
-    """Least table per certificate over the start..stop slice of the
-    lexicographic table stream.  First hit per class is the slice minimum."""
-    best: dict = {}
-    for t in islice(product(range(n), repeat=n), start, stop):
-        c = table_certificate(t)
-        if c not in best:
-            best[c] = t
-    return best
-
-
-def enumerate_up_to_iso(n: int, workers: int = 1) -> Corpus:
+def enumerate_up_to_iso(n: int) -> Corpus:
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"n must be between 1 and {MAX_POINTS}, got {n}")
-    total = n ** n
-    if workers <= 1:
-        merged = _bucket_chunk(n, 0, total)
-    else:
-        chunk = (total + workers - 1) // workers
-        spans = [
-            (i * chunk, min(total, (i + 1) * chunk))
-            for i in range(workers)
-            if i * chunk < total
-        ]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            parts = list(ex.map(lambda span: _bucket_chunk(n, *span), spans))
-        merged = {}
-        # min-merge is order-independent, so worker scheduling cannot leak in
-        for part in parts:
-            for c, t in part.items():
-                b = merged.get(c)
-                if b is None or t < b:
-                    merged[c] = t
-    reps = sorted(merged.values())
+    best: dict = {}
+    # tables arrive in lexicographic order, so the first hit per class is its least table
+    for t in product(range(n), repeat=n):
+        best.setdefault(table_certificate(t), t)
+    reps = sorted(best.values())
     return Corpus(n, tuple(FiniteMonounary(t) for t in reps))
 
 
-def counts(up_to: int, workers: int = 1) -> list[int]:
+def counts(up_to: int) -> list[int]:
     """Number of isomorphism classes for each point count 1..up_to."""
-    return [len(enumerate_up_to_iso(k, workers).representatives) for k in range(1, up_to + 1)]
+    return [len(enumerate_up_to_iso(k).representatives) for k in range(1, up_to + 1)]
 
 
 def random_algebra(n: int, seed: int) -> FiniteMonounary:

@@ -31,25 +31,17 @@ DEFAULT_BOUND = 8
 # fast deciders
 
 def is_ultrahomogeneous(A: FiniteMonounary) -> bool:
-    hts = core.heights(A)
-    cyc = core.cyclic_mask(A)
-    comps = core.components(A)
+    sk = core.Skeleton(A.table)
+    _, seqs, _ = iso.label(sk, A.table)
+    classes: dict[tuple[int, ...], int] = {}
+    comp_class = [classes.setdefault(seq, len(classes)) for seq in seqs]
     indeg = [0] * A.n
     for v in A.table:
         indeg[v] += 1
-    comp_of = {}
-    comp_cert = []
-    comp_cycsize = []
-    for ci, comp in enumerate(comps):
-        sub, _ = core.subalgebra(A, comp)
-        comp_cert.append(iso.table_certificate(sub.table))
-        comp_cycsize.append(sum(1 for x in comp if cyc[x]))
-        for x in comp:
-            comp_of[x] = ci
     seen: dict = {}
-    for x in range(A.n):
-        key = (hts[x], comp_cycsize[comp_of[x]])
-        val = (indeg[x], comp_cert[comp_of[x]])
+    for x, (h, c) in enumerate(zip(sk.height, sk.comp)):
+        key = (h, len(seqs[c]))
+        val = (indeg[x], comp_class[c])
         if seen.setdefault(key, val) != val:
             return False
     return True
@@ -58,16 +50,13 @@ def is_ultrahomogeneous(A: FiniteMonounary) -> bool:
 def _component_shapes(A: FiniteMonounary):
     """Per component: ('Z', k) for a bare k-cycle, ('A1', a) for a 1-cycle
     with a height-1 leaves and nothing deeper, else None."""
-    cyc = core.cyclic_mask(A)
-    hts = core.heights(A)
+    sk = core.Skeleton(A.table)
     shapes = []
-    for comp in core.components(A):
-        csize = sum(1 for x in comp if cyc[x])
-        acyclic = [x for x in comp if not cyc[x]]
-        if not acyclic:
-            shapes.append(("Z", csize))
-        elif csize == 1 and all(hts[x] == 1 for x in acyclic):
-            shapes.append(("A1", len(acyclic)))
+    for cycle, block in zip(sk.cycles, sk.blocks()):
+        if len(block) == len(cycle):
+            shapes.append(("Z", len(cycle)))
+        elif len(cycle) == 1 and max(sk.height[x] for x in block) == 1:
+            shapes.append(("A1", len(block) - 1))
         else:
             shapes.append(None)
     return shapes
@@ -325,11 +314,10 @@ def pseudoforest_ultrahomogeneous(P: PartialMonounary) -> bool:
         return True
     if not all(defined):
         return False
-    A = FiniteMonounary(P.table)
-    cyc = core.cyclic_mask(A)
-    if not all(cyc):
+    sk = core.Skeleton(P.table)
+    if not all(sk.cyclic):
         return False
-    sizes = sorted(len(c) for c in core.cycles_of(A))
+    sizes = sorted(len(c) for c in sk.cycles)
     return set(sizes) == {2} or set(sizes) == {3} or sizes == [4]
 
 

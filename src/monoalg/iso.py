@@ -1,22 +1,24 @@
 """Isomorphism machinery: canonical certificates and automorphisms.
 
-Certificates are exact nested-tuple canonical forms, not hashes: two
-algebras have equal certificates iff they are isomorphic.  A tree above a
-cyclic element is encoded bottom-up with sorted child encodings; a
-component is its cycle length plus the lexicographically least rotation
-of the per-cycle-element tree encodings; an algebra is the sorted
-multiset of its component encodings.  Marked variants thread distinguished
-element positions through the same scheme, which makes certificate
-equality of marked algebras equivalent to the existence of an isomorphism
-matching the marks.
+Every element gets an integer label for the isomorphism type of the tree
+hanging above it (Aho, Hopcroft & Ullman's tree labelling): level by
+level of the skeleton, the distinct sorted tuples of child labels are
+sorted and numbered on from the previous level.  A certificate is a flat
+pair of int tuples: the child-label tuples in label order, which fixes
+what every label means, and the sorted cycle label sequences, each at its
+least rotation.  Two algebras have equal certificates iff they are
+isomorphic; certificates are compared for equality only, never ordered
+or looked into.  Marked variants seed the child list of a marked element
+xs[i] with -1 - i, which makes certificate equality of marked algebras
+equivalent to the existence of an isomorphism matching the marks.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import FiniteMonounary, generated
+from .core import FiniteMonounary, Skeleton, generated
 
 Certificate = tuple
 
@@ -26,71 +28,75 @@ DEFAULT_AUT_CAP = 100_000
 # ---------------------------------------------------------------------------
 # certificates
 
-def _skeleton(table: Sequence[int]):
-    """(cyclic mask, acyclic-children lists, parents-first sweep order)."""
-    n = len(table)
-    indeg = [0] * n
-    for v in table:
-        indeg[v] += 1
-    stack = [x for x in range(n) if not indeg[x]]
-    cyclic = [True] * n
-    while stack:
-        x = stack.pop()
-        cyclic[x] = False
-        y = table[x]
-        indeg[y] -= 1
-        if not indeg[y]:
-            stack.append(y)
-    kids: list[list[int]] = [[] for _ in range(n)]
-    for x in range(n):
-        if not cyclic[x]:
-            kids[table[x]].append(x)
-    sweep = [x for x in range(n) if cyclic[x]]
-    i = 0
-    while i < len(sweep):
-        sweep.extend(kids[sweep[i]])
-        i += 1
-    return cyclic, kids, sweep
-
-
-def _cycles(table: Sequence[int], cyclic: Sequence[bool]) -> list[list[int]]:
-    seen = [False] * len(table)
-    out = []
-    for x in range(len(table)):
-        if cyclic[x] and not seen[x]:
-            cycle = []
-            cur = x
-            while not seen[cur]:
-                seen[cur] = True
-                cycle.append(cur)
-                cur = table[cur]
-            out.append(cycle)
-    return out
-
-
-def _min_rotation(seq: list) -> tuple:
+def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
+    """Offset of the lexicographically least rotation and the least
+    period of the rotations, in O(k).  Two candidate offsets i < j race
+    along the doubled sequence; at the first mismatch after m equal steps
+    the loser skips m + 1 offsets, none of which starts a least rotation.
+    The race ends when j runs out or the candidates agree for k steps,
+    and then j - i is the period."""
     k = len(seq)
-    return min(tuple(seq[i:] + seq[:i]) for i in range(k))
+    s = seq + seq
+    i, j, m = 0, 1, 0
+    while j < k and m < k:
+        a, b = s[i + m], s[j + m]
+        if a == b:
+            m += 1
+            continue
+        if a > b:
+            i += m + 1
+        else:
+            j += m + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        m = 0
+    return i, (j - i if m == k else k)
+
+
+def label(
+    sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()
+) -> tuple[list[int], list[tuple[int, ...]], Certificate]:
+    """Canonical tree labels, each cycle's label sequence at its least
+    rotation (aligned with sk.cycles) and the certificate, with xs[i]
+    marked by -1 - i in its own child list."""
+    kid_labels: list[list[int]] = [[] for _ in table]
+    for i, x in enumerate(xs):
+        kid_labels[x].append(-1 - i)
+    labels = [0] * len(table)
+    entries: list[tuple[int, ...]] = []
+    cyclic = sk.cyclic
+    for level in sk.levels:
+        keys = list(map(tuple, map(sorted, map(kid_labels.__getitem__, level))))
+        base = len(entries)
+        distinct = set(keys)
+        if len(distinct) == 1:
+            entries.append(keys[0])
+            for x in level:
+                labels[x] = base
+                if not cyclic[x]:
+                    kid_labels[table[x]].append(base)
+            continue
+        entries += sorted(distinct)
+        ids = dict(zip(entries[base:], range(base, len(entries))))
+        for x, key in zip(level, keys):
+            lab = labels[x] = ids[key]
+            if not cyclic[x]:
+                kid_labels[table[x]].append(lab)
+    seqs = []
+    for cycle in sk.cycles:
+        seq = list(map(labels.__getitem__, cycle))
+        if len(seq) > 1:
+            r = _least_rotation(seq)[0]
+            seq = seq[r:] + seq[:r]
+        seqs.append(tuple(seq))
+    return labels, seqs, (tuple(entries), tuple(sorted(seqs)))
 
 
 def table_certificate(table: Sequence[int]) -> Certificate:
     """Certificate straight from a raw table (hot path for enumeration)."""
-    cyclic, kids, sweep = _skeleton(table)
-    cert: list = [None] * len(table)
-    for x in reversed(sweep):
-        cs = [cert[k] for k in kids[x]]
-        cs.sort()
-        cert[x] = tuple(cs)
-    comp_certs = [
-        (len(cyc), _min_rotation([cert[c] for c in cyc]))
-        for cyc in _cycles(table, cyclic)
-    ]
-    comp_certs.sort()
-    return tuple(comp_certs)
-
-
-def canonical_certificate(A: FiniteMonounary) -> Certificate:
-    return table_certificate(A.table)
+    return label(Skeleton(table), table)[2]
 
 
 def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
@@ -99,24 +105,10 @@ def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
     Equal marked certificates of (A, xs) and (B, ys) hold iff some
     isomorphism A -> B maps xs[i] to ys[i] for every i.
     """
-    marks: dict[int, tuple[int, ...]] = {}
-    for i, x in enumerate(xs):
+    for x in xs:
         if not 0 <= x < A.n:
             raise ValueError(f"marked element out of range: {x}")
-        marks[x] = marks.get(x, ()) + (i,)
-    table = A.table
-    cyclic, kids, sweep = _skeleton(table)
-    cert: list = [None] * len(table)
-    for x in reversed(sweep):
-        cs = [cert[k] for k in kids[x]]
-        cs.sort()
-        cert[x] = (marks.get(x, ()), tuple(cs))
-    comp_certs = [
-        (len(cyc), _min_rotation([cert[c] for c in cyc]))
-        for cyc in _cycles(table, cyclic)
-    ]
-    comp_certs.sort()
-    return tuple(comp_certs)
+    return label(Skeleton(A.table), A.table, xs)[2]
 
 
 def pointed_certificate(A: FiniteMonounary, x: int) -> Certificate:
@@ -139,126 +131,96 @@ def brute_force_automorphisms(A: FiniteMonounary, bound: int = 8) -> list[tuple[
     return [p for p in permutations(rng) if all(p[f[x]] == f[p[x]] for x in rng)]
 
 
-def _tree_isos(x: int, y: int, cert: list, kids: list) -> list[dict[int, int]]:
-    """All isomorphisms from the tree above x onto the tree above y."""
-    if cert[x] != cert[y]:
-        return []
-    by_cert: dict = {}
-    for k in kids[x]:
-        by_cert.setdefault(cert[k], [[], []])[0].append(k)
-    for k in kids[y]:
-        by_cert.setdefault(cert[k], [[], []])[1].append(k)
-    class_options: list[list[dict[int, int]]] = []
-    for c in sorted(by_cert):
-        xs_, ys_ = by_cert[c]
-        opts: list[dict[int, int]] = []
-        for target in permutations(ys_):
-            subs = [_tree_isos(a, b, cert, kids) for a, b in zip(xs_, target)]
-            for combo in product(*subs):
-                merged: dict[int, int] = {}
-                for d in combo:
-                    merged.update(d)
-                opts.append(merged)
-        class_options.append(opts)
-    out = []
-    for combo in product(*class_options):
-        m = {x: y}
-        for d in combo:
-            m.update(d)
-        out.append(m)
-    return out
-
-
-def _tree_aut_counts(cert: list, kids: list, sweep: list) -> list[int]:
-    cnt = [1] * len(cert)
-    for x in reversed(sweep):
-        by_cert: dict = {}
-        total = 1
-        for k in kids[x]:
-            by_cert[cert[k]] = by_cert.get(cert[k], 0) + 1
-            total *= cnt[k]
-        for m in by_cert.values():
-            for i in range(2, m + 1):
-                total *= i
-        cnt[x] = total
-    return cnt
-
-
 def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms, assembled componentwise: permute isomorphic
-    components, rotate cycles compatibly, then map trees level by level.
+    """All automorphisms, assembled from independent choices: where each
+    component goes among the isomorphic ones, which symmetric rotation
+    its cycle takes, and, at every element, how its children with equal
+    labels are permuted.
 
     The count is computed first; if it exceeds `cap` the call fails
     instead of materializing.
     """
-    table = A.table
-    cyclic, kids, sweep = _skeleton(table)
-    cert: list = [None] * len(table)
-    for x in reversed(sweep):
-        cs = [cert[k] for k in kids[x]]
-        cs.sort()
-        cert[x] = tuple(cs)
-    cnt = _tree_aut_counts(cert, kids, sweep)
-    cycles = _cycles(table, cyclic)
-    comp_certs = [(len(cyc), _min_rotation([cert[c] for c in cyc])) for cyc in cycles]
+    sk = Skeleton(A.table)
+    labels, seqs, _ = label(sk, A.table)
+    factors: list[int] = []  # the group order is their product
 
-    groups: dict = {}
-    for i, cc in enumerate(comp_certs):
-        groups.setdefault(cc, []).append(i)
+    # with children sorted by label, any permutation within a run of
+    # equal labels maps the tree above x onto itself
+    kids = sk.children()
+    runs_at: dict[int, list[slice]] = {}
+    for x, ks in enumerate(kids):
+        ks.sort(key=labels.__getitem__)
+        start = 0
+        for _, run in groupby(ks, key=labels.__getitem__):
+            size = len(list(run))
+            if size > 1:
+                runs_at.setdefault(x, []).append(slice(start, start + size))
+                factors += range(2, size + 1)
+            start += size
 
-    def valid_rotations(i: int, j: int) -> list[int]:
-        seq_i = [cert[c] for c in cycles[i]]
-        seq_j = [cert[c] for c in cycles[j]]
-        k = len(seq_i)
-        return [r for r in range(k) if all(seq_i[t] == seq_j[(r + t) % k] for t in range(k))]
-
+    # components are isomorphic iff their least-rotated cycle sequences
+    # are equal; one maps onto another at every rotation that aligns the
+    # least rotations, up to the sequence's period
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, seq in enumerate(seqs):
+        groups.setdefault(seq, []).append(i)
+    group_of = [0] * len(seqs)
+    periods = []
+    for g, (seq, members) in enumerate(groups.items()):
+        for i in members:
+            group_of[i] = g
+        periods.append(_least_rotation(seq)[1])
+        factors += range(2, len(members) + 1)
+        factors += [len(seq) // periods[-1]] * len(members)
     total = 1
-    for members in groups.values():
-        rep = members[0]
-        per_comp = len(valid_rotations(rep, rep))
-        for c in cycles[rep]:
-            per_comp *= cnt[c]
-        m = len(members)
-        fact = 1
-        for i in range(2, m + 1):
-            fact *= i
-        total *= fact * per_comp ** m
+    for factor in factors:
+        total *= factor
         if total > cap:
             raise ValueError(f"automorphism count {total}+ exceeds cap {cap}")
+    parents: list[list[int]] = [[] for _ in groups]
+    for level in reversed(sk.levels):
+        for x in level:
+            if kids[x]:
+                parents[group_of[sk.comp[x]]].append(x)
 
-    def component_isos(i: int, j: int) -> list[dict[int, int]]:
-        out = []
-        k = len(cycles[i])
-        for r in valid_rotations(i, j):
-            pair_lists = [
-                _tree_isos(cycles[i][t], cycles[j][(r + t) % k], cert, kids)
-                for t in range(k)
-            ]
-            for combo in product(*pair_lists):
+    group_maps = []
+    for members, ps, period in zip(groups.values(), parents, periods):
+        cycles = [sk.cycles[i] for i in members]
+        offsets = [_least_rotation([labels[c] for c in cycle])[0] for cycle in cycles]
+        k = len(cycles[0])
+        maps = []
+        for target in permutations(range(len(members))):
+            for shifts in product(range(0, k, period), repeat=len(members)):
                 m = {}
-                for d in combo:
-                    m.update(d)
-                out.append(m)
-        return out
-
-    group_choices: list[list[dict[int, int]]] = []
-    for members in sorted(groups.values()):
-        assignments: list[dict[int, int]] = []
-        for target in permutations(members):
-            iso_lists = [component_isos(i, j) for i, j in zip(members, target)]
-            for combo in product(*iso_lists):
-                m = {}
-                for d in combo:
-                    m.update(d)
-                assignments.append(m)
-        group_choices.append(assignments)
+                for a, b, r in zip(range(len(members)), target, shifts):
+                    oa, ob = offsets[a], offsets[b] + r
+                    m.update((cycles[a][(oa + t) % k], cycles[b][(ob + t) % k]) for t in range(k))
+                maps.append(m)
+        for x in ps:  # parents first: m[x] is set before x's children
+            ks = kids[x]
+            for m in maps:
+                m.update(zip(ks, kids[m[x]]))
+            runs = runs_at.get(x)
+            if runs:
+                branched = []
+                for m in maps:
+                    ts = kids[m[x]]
+                    for images in product(*[permutations(ts[r]) for r in runs]):
+                        b = m.copy()
+                        for r, image in zip(runs, images):
+                            b.update(zip(ks[r], image))
+                        branched.append(b)
+                maps = branched
+        group_maps.append(maps)
 
     auts = []
-    for combo in product(*group_choices):
-        m = {}
-        for d in combo:
-            m.update(d)
-        auts.append(tuple(m[x] for x in range(A.n)))
+    for combo in product(*group_maps):
+        m = combo[0]
+        if len(combo) > 1:
+            m = {}
+            for part in combo:
+                m.update(part)
+        auts.append(tuple(map(m.__getitem__, range(A.n))))
     auts.sort()
     return auts
 

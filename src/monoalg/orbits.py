@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from itertools import product
 
-from .core import FiniteMonounary, generated, subalgebra
+from . import iso
+from .core import FiniteMonounary, Skeleton, generated, subalgebra
 from .iso import Certificate, brute_force_automorphisms, marked_certificate
 
 
@@ -25,6 +26,7 @@ class OrbitLabeler:
 
     def __init__(self, A: FiniteMonounary):
         self.A = A
+        self._skeleton = Skeleton(A.table)
         self._memo: dict[tuple[int, ...], Certificate] = {}
 
     def label(self, xs: tuple[int, ...]) -> Certificate:
@@ -34,7 +36,9 @@ class OrbitLabeler:
         if got is not None:
             return got
         if len(xs) == 1:
-            lab = ("pt", marked_certificate(self.A, xs))
+            if not 0 <= xs[0] < self.A.n:
+                raise ValueError(f"element out of range: {xs[0]}")
+            lab = ("pt", iso.label(self._skeleton, self.A.table, xs)[2])
         else:
             sub, elems = subalgebra(self.A, generated(self.A, xs))
             local = {x: i for i, x in enumerate(elems)}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Iterator
 
 from . import core
 from .core import FiniteMonounary
@@ -30,9 +31,10 @@ class InducedPoset:
 def build_order(A: FiniteMonounary, c: int) -> InducedPoset:
     if not 0 <= c < A.n:
         raise ValueError(f"element out of range: {c}")
-    if not core.cyclic_mask(A)[c]:
+    sk = core.Skeleton(A.table)
+    if not sk.cyclic[c]:
         raise ValueError(f"{c} is not cyclic")
-    _, elems = core.upper_set(A, c)
+    elems = tuple(sk.tree_above(c))
     f = A.table
     leq = set()
     covers = set()
@@ -67,12 +69,30 @@ def check_aut_equality(
     """Automorphisms of the tree above c, once as a partial algebra and
     once as an order, by independent permutation filters; returns the
     verdict with both lists (local indices into the ascending element
-    list)."""
-    P, elems = core.upper_set(A, c)
+    list).  The tree and its order come straight from the definitions,
+    not from build_order."""
+    f, n = A.table, A.n
+    if not 0 <= c < n:
+        raise ValueError(f"element out of range: {c}")
+    cycle = [c]
+    while len(cycle) <= n and f[cycle[-1]] != c:
+        cycle.append(f[cycle[-1]])
+    if f[cycle[-1]] != c:
+        raise ValueError(f"{c} is not cyclic")
+    # the tree: everything reaching c through preimages, except through
+    # the predecessor of c on its cycle
+    pre: list[list[int]] = [[] for _ in range(n)]
+    for x in range(n):
+        pre[f[x]].append(x)
+    elems = [c]
+    for x in elems:
+        elems.extend(y for y in pre[x] if y != cycle[-1])
+    elems.sort()
     k = len(elems)
     if k > bound:
         raise ValueError(f"bound exceeded: tree size {k} > {bound}")
-    tab = P.table
+    pos = {e: i for i, e in enumerate(elems)}
+    tab = [pos.get(f[e]) for e in elems]  # the induced partial operation
     rng = range(k)
 
     alg = []
@@ -90,9 +110,13 @@ def check_aut_equality(
         if ok:
             alg.append(p)
 
-    pos = {e: i for i, e in enumerate(elems)}
-    order = build_order(A, c)
-    lset = {(pos[a], pos[b]) for (a, b) in order.leq}
+    def down(b: int) -> Iterator[int]:  # b, f(b), ..., c: the elements <= b
+        yield b
+        while b != c:
+            b = f[b]
+            yield b
+
+    lset = {(pos[a], pos[b]) for b in elems for a in down(b)}
     ord_auts = [
         p
         for p in permutations(rng)

@@ -158,11 +158,6 @@ def _desc_key(d: Descriptor):
     return (2, 0, 0, (), (0, 0))
 
 
-def descriptors_isomorphic(d1: Descriptor, d2: Descriptor) -> bool:
-    """Constructors normalize, so isomorphism is plain equality."""
-    return d1 == d2
-
-
 @dataclass(frozen=True)
 class CycleFamily:
     """One profile shape per cycle length, over every length at once."""
@@ -398,8 +393,6 @@ def is_ultrahomogeneous(S: SymbolicAlgebra) -> bool:
     cycles = [d.cycle for _, d in S.components if isinstance(d, Profile)]
     if len(cycles) != len(set(cycles)):
         return False
-    if S.families and cycles:
-        pass  # concrete profiles must then match the family shape, below
     return _family_shapes_consistent(S)
 
 
@@ -525,26 +518,29 @@ class NotUltrahomogeneous(ValueError):
 
 def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
     """Symbolic normal form of an ultrahomogeneous finite algebra."""
-    hts = core.heights(A)
-    cyc = core.cyclic_mask(A)
-    kids = core.acyclic_children(A)
+    sk = core.Skeleton(A.table)
+    kids = [0] * A.n
+    for x, v in enumerate(A.table):
+        if not sk.cyclic[x]:
+            kids[v] += 1
+    # one pass: every (component, height) bucket must hold one child count
+    counts: dict[tuple[int, int], int] = {}
+    top = [0] * len(sk.cycles)
+    for x, key in enumerate(zip(sk.comp, sk.height)):
+        if counts.setdefault(key, kids[x]) != kids[x]:
+            c, k = key
+            found = {kids[y] for y in range(A.n) if sk.comp[y] == c and sk.height[y] == k}
+            raise NotUltrahomogeneous(
+                f"not ultrahomogeneous: level {k} has non-uniform preimage counts {sorted(found)}"
+            )
+        top[key[0]] = max(top[key[0]], key[1])
     by_cycle: dict[int, Profile] = {}
     entries = []
-    for comp in core.components(A):
-        csize = sum(1 for x in comp if cyc[x])
-        top = max(hts[x] for x in comp)
-        levels = []
-        for k in range(top):
-            counts = {len(kids[x]) for x in comp if hts[x] == k}
-            if len(counts) != 1:
-                raise NotUltrahomogeneous(
-                    f"not ultrahomogeneous: level {k} has non-uniform preimage counts {sorted(counts)}"
-                )
-            levels.append(Cardinal(counts.pop()))
-        profile = Profile(csize, tuple(levels))
-        if by_cycle.setdefault(csize, profile) != profile:
+    for c, cycle in enumerate(sk.cycles):
+        profile = Profile(len(cycle), tuple(Cardinal(counts[c, k]) for k in range(top[c])))
+        if by_cycle.setdefault(len(cycle), profile) != profile:
             raise NotUltrahomogeneous(
-                f"not ultrahomogeneous: components with cycle size {csize} are not isomorphic"
+                f"not ultrahomogeneous: components with cycle size {len(cycle)} are not isomorphic"
             )
         entries.append((ONE, profile))
     return symbolic(entries)

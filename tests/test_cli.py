@@ -175,3 +175,26 @@ def test_bound_env(capsys, monkeypatch):
     assert code == 2 and "bound" in err
     code, _, _ = run(capsys, "check", "uh", "f: 1 2 3 0", "--oracle", "--bound", "8")
     assert code == 0
+
+
+def test_bad_bound_env_is_an_error(capsys, monkeypatch):
+    monkeypatch.setenv("MONOALG_BOUND", "abc")
+    code, _, err = run(capsys, "analyze", "f: 0 0")
+    assert code == 2 and "MONOALG_BOUND" in err
+
+
+def test_missing_file_is_named(capsys, tmp_path):
+    missing = str(tmp_path / "NoSuchFile.json")
+    code, _, err = run(capsys, "check", "uh", missing)
+    assert code == 2 and "no such file" in err and "NoSuchFile.json" in err
+    code, _, err = run(capsys, "analyze", missing)
+    assert code == 2 and "no such file" in err
+
+
+def test_iso_and_aut_on_a_long_path(capsys, tmp_path):
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"n": 3000, "f": [0] + list(range(2999))}))
+    code, payload = run_json(capsys, "iso", str(path), str(path))
+    assert code == 0 and payload == {"isomorphic": True}
+    code, payload = run_json(capsys, "aut", str(path))
+    assert code == 0 and payload["count"] == 1
