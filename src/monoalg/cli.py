@@ -34,6 +34,8 @@ import sys
 
 from . import core, enumeration, homogeneity, iso, orbits, semilinear, symbolic
 
+MAX_RANDOM_N = 10**6  # the largest random:N table the CLI builds
+
 # shape tokens only, with at least one descriptor letter
 _SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
 
@@ -41,7 +43,7 @@ _SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
 def _default_bound() -> int:
     env = os.environ.get("MONOALG_BOUND")
     try:
-        return int(env) if env else homogeneity.DEFAULT_BOUND
+        return int(env) if env else iso.DEFAULT_BOUND
     except ValueError:
         raise ValueError(f"MONOALG_BOUND must be an integer, got {env!r}") from None
 
@@ -53,8 +55,13 @@ def _load_any(arg: str):
             text = fh.read().strip()
         return core.from_json(text) if text.startswith("{") else core.from_text(text)
     if arg.startswith("random:"):
-        _, n, seed = arg.split(":")
-        return enumeration.random_algebra(int(n), int(seed))
+        try:
+            n, seed = map(int, arg.split(":")[1:])
+        except ValueError:
+            raise ValueError(f"expected random:N:SEED with integers N and SEED, got {arg!r}") from None
+        if not 1 <= n <= MAX_RANDOM_N:
+            raise ValueError(f"random:N needs 1 <= N <= {MAX_RANDOM_N}, got N={n}")
+        return enumeration.random_algebra(n, seed)
     if arg.lstrip().startswith("{"):
         return core.from_json(arg)
     try:

@@ -319,7 +319,10 @@ def to_json(alg: Algebra) -> str:
 
 
 def from_json(text: str) -> Algebra:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply for a table") from None
     if not isinstance(data, dict) or "n" not in data or "f" not in data:
         raise ValueError("expected an object with keys 'n' and 'f'")
     f = data["f"]

@@ -11,20 +11,25 @@ elements of equal height inside components with equal cycle size have
 equal indegree and those components are isomorphic; the partially
 homogeneous algebras form five explicit families).  Oracles replay the
 definitions by exhaustive search and exist to be disagreed with, so they
-share nothing with the deciders beyond the automorphism filter.
+share nothing with the deciders.  They share one path with each other:
+the automorphisms and the isomorphisms between induced structures both
+come from the one permutation filter iso.partial_iso_images, and one
+check, _all_extend, asks that every such isomorphism between equal-size
+sets of a family is the restriction of an automorphism.  The families
+are the subalgebras (UH), the one-generated subalgebras (1-UH), the
+k-element subalgebras (n-homogeneity) and all k-subsets (partial
+n-homogeneity); a single-operation oracle is the one-table case of the
+multi-operation check.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from typing import Optional, Sequence
-
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import combinations
+from typing import Sequence
 
 from . import core, iso, orbits
 from .core import FiniteMonounary, PartialMonounary
-
-DEFAULT_BOUND = 8
 
 
 # ---------------------------------------------------------------------------
@@ -89,33 +94,35 @@ def is_partially_homogeneous(A: FiniteMonounary) -> bool:
 # ---------------------------------------------------------------------------
 # oracles
 
-def _antichain_sets(A: FiniteMonounary) -> list[tuple[int, ...]]:
-    """Generator sets with no generator inside the closure of the others.
-    Every subalgebra is generated by such a set, so quantifying over them
-    exhausts all finitely generated substructures."""
-    singles = [core.generated(A, [x]) for x in range(A.n)]
-    out = []
-    for bits in range(1, 1 << A.n):
-        S = [x for x in range(A.n) if bits >> x & 1]
-        if all(not any(s in singles[t] for t in S if t != s) for s in S):
-            out.append(tuple(S))
-    return out
+def _all_extend(
+    tables: Sequence[Sequence[int]], auts: Sequence[tuple[int, ...]], sets: Sequence[tuple[int, ...]]
+) -> bool:
+    """For every pair (S, T) of equal-size sets, every isomorphism of the
+    induced structures S -> T is the restriction of an automorphism."""
+    for S in sets:
+        restrictions = {tuple(map(p.__getitem__, S)) for p in auts}
+        for T in sets:
+            if len(T) == len(S) and not all(
+                images in restrictions for images in iso.partial_iso_images(tables, S, T)
+            ):
+                return False
+    return True
 
 
-class _Restrictions:
-    """Restriction images of the automorphism group on sorted element
-    tuples, computed once per tuple."""
-
-    def __init__(self, auts: Sequence[tuple[int, ...]]):
-        self.auts = auts
-        self._memo: dict[tuple[int, ...], set] = {}
-
-    def on(self, elems: tuple[int, ...]) -> set:
-        got = self._memo.get(elems)
-        if got is None:
-            got = {tuple(p[x] for x in elems) for p in self.auts}
-            self._memo[elems] = got
-        return got
+def _subalgebras(tables: Sequence[Sequence[int]], one_generated: bool = False) -> list[tuple[int, ...]]:
+    """The nonempty subsets closed under every table, smallest first; in
+    a finite algebra these are exactly the subalgebras.  With
+    one_generated, only the least one around each point."""
+    n = len(tables[0])
+    closed = [
+        S
+        for k in range(1, n + 1)
+        for S in combinations(range(n), k)
+        if all(t[x] in S for t in tables for x in S)
+    ]
+    if one_generated:
+        closed = list(dict.fromkeys(next(S for S in closed if x in S) for x in range(n)))
+    return closed
 
 
 def _auts_for(A: FiniteMonounary, bound: int, auts) -> list[tuple[int, ...]]:
@@ -125,110 +132,44 @@ def _auts_for(A: FiniteMonounary, bound: int, auts) -> list[tuple[int, ...]]:
 
 
 def is_ultrahomogeneous_oracle(
-    A: FiniteMonounary, bound: int = DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND, auts=None
 ) -> bool:
-    auts = _auts_for(A, bound, auts)
-    restr = _Restrictions(auts)
-    sets_ = _antichain_sets(A)
-    closures = {S: tuple(sorted(core.generated(A, S))) for S in sets_}
-    for S in sets_:
-        src = closures[S]
-        for T in sets_:
-            if len(T) != len(S):
-                continue
-            tgt = closures[T]
-            if len(tgt) != len(src):
-                continue
-            avail = restr.on(src)
-            for images in iso.subalgebra_isomorphism_images(A.table, src, tgt):
-                if images not in avail:
-                    return False
-    return True
+    tables = [A.table]
+    return _all_extend(tables, _auts_for(A, bound, auts), _subalgebras(tables))
 
 
 def is_1_ultrahomogeneous_oracle(
-    A: FiniteMonounary, bound: int = DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND, auts=None
 ) -> bool:
-    auts = _auts_for(A, bound, auts)
-    restr = _Restrictions(auts)
-    closures = [tuple(sorted(core.generated(A, [x]))) for x in range(A.n)]
-    for x in range(A.n):
-        src = closures[x]
-        avail = restr.on(src)
-        for y in range(A.n):
-            tgt = closures[y]
-            if len(tgt) != len(src):
-                continue
-            for images in iso.subalgebra_isomorphism_images(A.table, src, tgt):
-                if images not in avail:
-                    return False
-    return True
+    tables = [A.table]
+    return _all_extend(tables, _auts_for(A, bound, auts), _subalgebras(tables, one_generated=True))
 
 
 def is_n_homogeneous(
-    A: FiniteMonounary, k: int, bound: int = DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, k: int, bound: int = iso.DEFAULT_BOUND, auts=None
 ) -> bool:
     """Isomorphisms between k-element subalgebras all extend; vacuously
     true when no k-element subalgebra exists."""
     if k < 1:
         raise ValueError("k must be positive")
     auts = _auts_for(A, bound, auts)
-    f = A.table
-    subs = [
-        S for S in combinations(range(A.n), k) if all(f[x] in S for x in S)
-    ]
-    restr = _Restrictions(auts)
-    for src in subs:
-        avail = restr.on(src)
-        for tgt in subs:
-            for images in iso.subalgebra_isomorphism_images(f, src, tgt):
-                if images not in avail:
-                    return False
-    return True
-
-
-def _partial_iso_images(table, S: tuple[int, ...], T: tuple[int, ...]):
-    """Images of S under all isomorphisms of induced partial structures
-    S -> T (domains must correspond both ways)."""
-    pos = {x: i for i, x in enumerate(S)}
-    sset, tset = set(S), set(T)
-    for perm in permutations(T):
-        ok = True
-        for i, x in enumerate(S):
-            v = table[x]
-            if v in sset:
-                if table[perm[i]] != perm[pos[v]]:
-                    ok = False
-                    break
-            else:
-                if table[perm[i]] in tset:
-                    ok = False
-                    break
-        if ok:
-            yield perm
+    tables = [A.table]
+    return _all_extend(tables, auts, [S for S in _subalgebras(tables) if len(S) == k])
 
 
 def is_partially_n_homogeneous(
-    A: FiniteMonounary, k: int, bound: int = DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, k: int, bound: int = iso.DEFAULT_BOUND, auts=None
 ) -> bool:
     """Isomorphisms between induced partial structures on arbitrary
     k-subsets all extend to automorphisms."""
     if k < 1:
         raise ValueError("k must be positive")
     auts = _auts_for(A, bound, auts)
-    restr = _Restrictions(auts)
-    subsets = list(combinations(range(A.n), k))
-    for S in subsets:
-        avail = restr.on(S)
-        for T in subsets:
-            for images in _partial_iso_images(A.table, S, T):
-                if images not in avail:
-                    return False
-    return True
+    return _all_extend([A.table], auts, list(combinations(range(A.n), k)))
 
 
 def is_partially_homogeneous_oracle(
-    A: FiniteMonounary, bound: int = DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND, auts=None
 ) -> bool:
     auts = _auts_for(A, bound, auts)
     return all(
@@ -255,16 +196,7 @@ class LatticeReport:
     h1: bool
 
     def to_dict(self) -> dict:
-        return {
-            "transitive": self.transitive,
-            "ph1": self.ph1,
-            "ph2": self.ph2,
-            "ph": self.ph,
-            "uh": self.uh,
-            "h": self.h,
-            "h2": self.h2,
-            "h1": self.h1,
-        }
+        return asdict(self)
 
     def implications_hold(self) -> bool:
         # transitive -> ph1 only: a bare 5-cycle is transitive yet fails ph2
@@ -284,7 +216,7 @@ class LatticeReport:
         )
 
 
-def classify_lattice(A: FiniteMonounary, bound: int = DEFAULT_BOUND) -> LatticeReport:
+def classify_lattice(A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND) -> LatticeReport:
     auts = _auts_for(A, bound, None)
     uh = is_ultrahomogeneous(A)
     return LatticeReport(
@@ -324,7 +256,7 @@ def pseudoforest_ultrahomogeneous(P: PartialMonounary) -> bool:
 # ---------------------------------------------------------------------------
 # several unary operations at once
 
-def multiunary_brute_check(tables: Sequence[Sequence[int]], bound: int = DEFAULT_BOUND) -> dict:
+def multiunary_brute_check(tables: Sequence[Sequence[int]], bound: int = iso.DEFAULT_BOUND) -> dict:
     """Brute-force 1-UH and UH for an algebra with several unary
     operations over one domain.  Returns both verdicts."""
     tabs = [tuple(t) for t in tables]
@@ -337,72 +269,8 @@ def multiunary_brute_check(tables: Sequence[Sequence[int]], bound: int = DEFAULT
         FiniteMonounary(t)
     if n > bound:
         raise ValueError(f"bound exceeded: n={n} > {bound}")
-
-    rng = range(n)
-    auts = [
-        p
-        for p in permutations(rng)
-        if all(p[t[x]] == t[p[x]] for t in tabs for x in rng)
-    ]
-
-    def closure(seed: int) -> frozenset[int]:
-        out: set[int] = set()
-        stack = [seed]
-        while stack:
-            x = stack.pop()
-            if x not in out:
-                out.add(x)
-                stack.extend(t[x] for t in tabs)
-        return frozenset(out)
-
-    singles = [closure(x) for x in rng]
-
-    def iso_images(src: tuple[int, ...], tgt: tuple[int, ...]):
-        pos = {x: i for i, x in enumerate(src)}
-        for perm in permutations(tgt):
-            if all(
-                perm[pos[t[x]]] == t[perm[i]]
-                for t in tabs
-                for i, x in enumerate(src)
-            ):
-                yield perm
-
-    def extendable(src: tuple[int, ...], tgt: tuple[int, ...]) -> bool:
-        avail = {tuple(p[x] for x in src) for p in auts}
-        for images in iso_images(src, tgt):
-            if images not in avail:
-                return False
-        return True
-
-    one_uh = True
-    for x in rng:
-        src = tuple(sorted(singles[x]))
-        for y in rng:
-            tgt = tuple(sorted(singles[y]))
-            if len(src) == len(tgt) and not extendable(src, tgt):
-                one_uh = False
-                break
-        if not one_uh:
-            break
-
-    full_uh = True
-    sets_ = []
-    for bits in range(1, 1 << n):
-        S = [x for x in rng if bits >> x & 1]
-        if all(not any(s in singles[t] for t in S if t != s) for s in S):
-            sets_.append(S)
-    closures = {
-        tuple(S): tuple(sorted(frozenset().union(*[singles[s] for s in S])))
-        for S in sets_
+    auts = list(iso.partial_iso_images(tabs, range(n), range(n)))
+    return {
+        "is_1_ultrahomogeneous": _all_extend(tabs, auts, _subalgebras(tabs, one_generated=True)),
+        "is_ultrahomogeneous": _all_extend(tabs, auts, _subalgebras(tabs)),
     }
-    for S in sets_:
-        src = closures[tuple(S)]
-        for T in sets_:
-            tgt = closures[tuple(T)]
-            if len(S) == len(T) and len(src) == len(tgt) and not extendable(src, tgt):
-                full_uh = False
-                break
-        if not full_uh:
-            break
-
-    return {"is_1_ultrahomogeneous": one_uh, "is_ultrahomogeneous": full_uh}

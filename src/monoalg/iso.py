@@ -24,6 +24,8 @@ Certificate = tuple
 
 DEFAULT_AUT_CAP = 100_000
 
+DEFAULT_BOUND = 8  # largest domain the brute-force oracles search
+
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -122,13 +124,36 @@ def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
 # ---------------------------------------------------------------------------
 # automorphisms
 
-def brute_force_automorphisms(A: FiniteMonounary, bound: int = 8) -> list[tuple[int, ...]]:
+def partial_iso_images(
+    tables: Sequence[Sequence[int]], S: Sequence[int], T: Sequence[int]
+) -> Iterator[tuple[int, ...]]:
+    """Images of S, aligned with S, under every bijection S -> T that is
+    an isomorphism of the structures the tables induce: where t[x] lies
+    in S, t[x] goes to t of the image of x; where t[x] leaves S, t of the
+    image leaves T.  On closed sets the second rule never fires, so this
+    one filter serves total, partial and multi-operation structures.
+    Oracle-grade: it tries every permutation of T."""
+    if len(S) != len(T):
+        return
+    pos = {x: i for i, x in enumerate(S)}
+    tset = set(T)
+    # one rule per table and position i: t[S[i]] sits at position j of S,
+    # or j is None when it leaves S
+    rules = [(t, i, pos.get(t[x])) for t in tables for i, x in enumerate(S)]
+    for perm in permutations(T):
+        for t, i, j in rules:
+            y = t[perm[i]]
+            if y in tset if j is None else y != perm[j]:
+                break
+        else:
+            yield perm
+
+
+def brute_force_automorphisms(A: FiniteMonounary, bound: int = DEFAULT_BOUND) -> list[tuple[int, ...]]:
     """All automorphisms by filtering every permutation; oracle-grade only."""
     if A.n > bound:
         raise ValueError(f"bound exceeded: n={A.n} > {bound}")
-    f = A.table
-    rng = range(A.n)
-    return [p for p in permutations(rng) if all(p[f[x]] == f[p[x]] for x in rng)]
+    return list(partial_iso_images([A.table], range(A.n), range(A.n)))
 
 
 def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
@@ -253,24 +278,8 @@ def extend_to_automorphism(
 # ---------------------------------------------------------------------------
 # isomorphisms between generated subalgebras
 
-def subalgebra_isomorphism_images(
-    table: Sequence[int], src: Sequence[int], tgt: Sequence[int]
-) -> Iterator[tuple[int, ...]]:
-    """Images of the closed set `src` under all isomorphisms onto the
-    closed set `tgt`, as tuples aligned with `src`."""
-    pos = {x: i for i, x in enumerate(src)}
-    for perm in permutations(tgt):
-        ok = True
-        for i, x in enumerate(src):
-            if perm[pos[table[x]]] != table[perm[i]]:
-                ok = False
-                break
-        if ok:
-            yield perm
-
-
 def isomorphisms_between(
-    A: FiniteMonounary, S: Iterable[int], T: Iterable[int], bound: int = 8
+    A: FiniteMonounary, S: Iterable[int], T: Iterable[int], bound: int = DEFAULT_BOUND
 ) -> list[dict[int, int]]:
     """All isomorphisms from the subalgebra generated by S onto the one
     generated by T, as explicit maps."""
@@ -278,6 +287,4 @@ def isomorphisms_between(
     tgt = tuple(sorted(generated(A, T)))
     if max(len(src), len(tgt)) > bound:
         raise ValueError(f"bound exceeded: subalgebra size > {bound}")
-    if len(src) != len(tgt):
-        return []
-    return [dict(zip(src, images)) for images in subalgebra_isomorphism_images(A.table, src, tgt)]
+    return [dict(zip(src, images)) for images in partial_iso_images([A.table], src, tgt)]

@@ -18,11 +18,8 @@ from .iso import Certificate, brute_force_automorphisms, marked_certificate
 
 
 class OrbitLabeler:
-    """Memoizing label factory for one fixed algebra.
-
-    The memo is per-instance; share an instance only from one thread, or
-    give each thread its own (labels are deterministic either way).
-    """
+    """Memoizing label factory for one fixed algebra; the memo is
+    per-instance."""
 
     def __init__(self, A: FiniteMonounary):
         self.A = A

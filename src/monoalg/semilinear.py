@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterator
 
-from . import core
+from . import core, iso
 from .core import FiniteMonounary
 
 
@@ -64,13 +64,13 @@ def meet(P: InducedPoset, x: int, y: int) -> int:
 
 
 def check_aut_equality(
-    A: FiniteMonounary, c: int, bound: int = 8
+    A: FiniteMonounary, c: int, bound: int = iso.DEFAULT_BOUND
 ) -> tuple[bool, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-    """Automorphisms of the tree above c, once as a partial algebra and
-    once as an order, by independent permutation filters; returns the
-    verdict with both lists (local indices into the ascending element
-    list).  The tree and its order come straight from the definitions,
-    not from build_order."""
+    """Automorphisms of the tree above c, once as a partial algebra (the
+    oracles' filter iso.partial_iso_images) and once as an order (a
+    filter of its own); returns the verdict with both lists (local
+    indices into the ascending element list).  The tree and its order
+    come straight from the definitions, not from build_order."""
     f, n = A.table, A.n
     if not 0 <= c < n:
         raise ValueError(f"element out of range: {c}")
@@ -92,23 +92,8 @@ def check_aut_equality(
     if k > bound:
         raise ValueError(f"bound exceeded: tree size {k} > {bound}")
     pos = {e: i for i, e in enumerate(elems)}
-    tab = [pos.get(f[e]) for e in elems]  # the induced partial operation
     rng = range(k)
-
-    alg = []
-    for p in permutations(rng):
-        ok = True
-        for i in rng:
-            v = tab[i]
-            if v is None:
-                if tab[p[i]] is not None:
-                    ok = False
-                    break
-            elif tab[p[i]] != p[v]:
-                ok = False
-                break
-        if ok:
-            alg.append(p)
+    alg = [tuple(map(pos.__getitem__, images)) for images in iso.partial_iso_images([f], elems, elems)]
 
     def down(b: int) -> Iterator[int]:  # b, f(b), ..., c: the elements <= b
         yield b

@@ -24,6 +24,24 @@ def iso_bijections(t1, t2):
     return [p for p in permutations(rng) if all(p[t1[x]] == t2[p[x]] for x in rng)]
 
 
+def partial_iso_images(tables, S, T):
+    """Images of S under the bijections m: S -> T with, for every table t
+    and x in S, t(m(x)) = m(t(x)) when t(x) is in S and t(m(x)) outside T
+    when t(x) is outside S; in the order of permutations(T)."""
+    if len(S) != len(T):
+        return []
+    out = []
+    for perm in permutations(T):
+        m = dict(zip(S, perm))
+        if all(
+            t[m[x]] == m[t[x]] if t[x] in m else t[m[x]] not in perm
+            for t in tables
+            for x in S
+        ):
+            out.append(perm)
+    return out
+
+
 def exists_iso(t1, t2) -> bool:
     return bool(iso_bijections(t1, t2))
 

@@ -198,3 +198,17 @@ def test_iso_and_aut_on_a_long_path(capsys, tmp_path):
     assert code == 0 and payload == {"isomorphic": True}
     code, payload = run_json(capsys, "aut", str(path))
     assert code == 0 and payload["count"] == 1
+
+
+def test_deeply_nested_json_is_an_error(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"n":1,"f":' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, _, err = run(capsys, "analyze", str(deep))
+    assert code == 2 and "nested too deeply" in err
+
+
+def test_random_input_form_and_size_are_checked(capsys):
+    code, _, err = run(capsys, "analyze", "random:5")
+    assert code == 2 and "random:N:SEED" in err
+    code, _, err = run(capsys, "analyze", "random:1000001:1")
+    assert code == 2 and "1000000" in err

@@ -10,7 +10,7 @@ import hypothesis.strategies as st
 
 from monoalg import iso
 from monoalg.core import FiniteMonounary, validate
-from oracles import exists_iso, iso_bijections, tables
+from oracles import exists_iso, iso_bijections, partial_iso_images, tables
 
 
 def test_known_pairs():
@@ -163,3 +163,14 @@ def test_subalgebra_isomorphisms_agree_with_definition(tab, data):
             if all(m[A(x)] == A(m[x]) for x in src):
                 expect.add(perm)
     assert got == expect
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_partial_iso_images_follow_the_definition(data):
+    n = data.draw(st.integers(1, 5))
+    tabs = data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=1, max_size=2))
+    k = data.draw(st.integers(1, n))
+    subset = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    S, T = data.draw(subset), data.draw(subset)
+    assert list(iso.partial_iso_images(tabs, S, T)) == partial_iso_images(tabs, S, T)
