@@ -126,14 +126,15 @@ class Skeleton:
             levels.pop()
         self.table, self.levels, self.cyclic, self.cycles = table, levels, indeg, cycles
 
-    def _parents_first(self) -> Iterator[int]:
+    def parents_first(self) -> Iterator[int]:
+        """The acyclic elements, each after its image f(x)."""
         return (x for level in reversed(self.levels) for x in level if not self.cyclic[x])
 
     @cached_property
     def height(self) -> list[int]:
         table = self.table
         h = [0] * len(table)
-        for x in self._parents_first():
+        for x in self.parents_first():
             h[x] = h[table[x]] + 1
         return h
 
@@ -144,7 +145,7 @@ class Skeleton:
         for i, cycle in enumerate(self.cycles):
             for x in cycle:
                 c[x] = i
-        for x in self._parents_first():
+        for x in self.parents_first():
             c[x] = c[table[x]]
         return c
 

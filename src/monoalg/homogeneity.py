@@ -37,7 +37,7 @@ from .core import FiniteMonounary, PartialMonounary
 
 def is_ultrahomogeneous(A: FiniteMonounary) -> bool:
     sk = core.Skeleton(A.table)
-    _, seqs, _ = iso.label(sk, A.table)
+    _, seqs, _, _ = iso.label(sk, A.table)
     classes: dict[tuple[int, ...], int] = {}
     comp_class = [classes.setdefault(seq, len(classes)) for seq in seqs]
     indeg = [0] * A.n

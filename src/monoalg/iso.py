@@ -59,10 +59,10 @@ def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
 
 def label(
     sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()
-) -> tuple[list[int], list[tuple[int, ...]], Certificate]:
+) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
     """Canonical tree labels, each cycle's label sequence at its least
-    rotation (aligned with sk.cycles) and the certificate, with xs[i]
-    marked by -1 - i in its own child list."""
+    rotation and that rotation's (offset, period), both aligned with
+    sk.cycles, and the certificate, with xs[i] marked by -1 - i."""
     kid_labels: list[list[int]] = [[] for _ in table]
     for i, x in enumerate(xs):
         kid_labels[x].append(-1 - i)
@@ -86,19 +86,18 @@ def label(
             lab = labels[x] = ids[key]
             if not cyclic[x]:
                 kid_labels[table[x]].append(lab)
-    seqs = []
+    seqs, rots = [], []
     for cycle in sk.cycles:
         seq = list(map(labels.__getitem__, cycle))
-        if len(seq) > 1:
-            r = _least_rotation(seq)[0]
-            seq = seq[r:] + seq[:r]
-        seqs.append(tuple(seq))
-    return labels, seqs, (tuple(entries), tuple(sorted(seqs)))
+        r, period = _least_rotation(seq) if len(seq) > 1 else (0, 1)
+        seqs.append(tuple(seq[r:] + seq[:r]))
+        rots.append((r, period))
+    return labels, seqs, rots, (tuple(entries), tuple(sorted(seqs)))
 
 
 def table_certificate(table: Sequence[int]) -> Certificate:
     """Certificate straight from a raw table (hot path for enumeration)."""
-    return label(Skeleton(table), table)[2]
+    return label(Skeleton(table), table)[3]
 
 
 def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
@@ -110,11 +109,7 @@ def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
     for x in xs:
         if not 0 <= x < A.n:
             raise ValueError(f"marked element out of range: {x}")
-    return label(Skeleton(A.table), A.table, xs)[2]
-
-
-def pointed_certificate(A: FiniteMonounary, x: int) -> Certificate:
-    return marked_certificate(A, (x,))
+    return label(Skeleton(A.table), A.table, xs)[3]
 
 
 def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
@@ -166,7 +161,7 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
     instead of materializing.
     """
     sk = Skeleton(A.table)
-    labels, seqs, _ = label(sk, A.table)
+    labels, seqs, rots, _ = label(sk, A.table)
     factors: list[int] = []  # the group order is their product
 
     # with children sorted by label, any permutation within a run of
@@ -190,13 +185,11 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
     for i, seq in enumerate(seqs):
         groups.setdefault(seq, []).append(i)
     group_of = [0] * len(seqs)
-    periods = []
     for g, (seq, members) in enumerate(groups.items()):
         for i in members:
             group_of[i] = g
-        periods.append(_least_rotation(seq)[1])
         factors += range(2, len(members) + 1)
-        factors += [len(seq) // periods[-1]] * len(members)
+        factors += [len(seq) // rots[members[0]][1]] * len(members)
     total = 1
     for factor in factors:
         total *= factor
@@ -209,10 +202,10 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
                 parents[group_of[sk.comp[x]]].append(x)
 
     group_maps = []
-    for members, ps, period in zip(groups.values(), parents, periods):
+    for members, ps in zip(groups.values(), parents):
         cycles = [sk.cycles[i] for i in members]
-        offsets = [_least_rotation([labels[c] for c in cycle])[0] for cycle in cycles]
-        k = len(cycles[0])
+        offsets = [rots[i][0] for i in members]
+        k, period = len(cycles[0]), rots[members[0]][1]
         maps = []
         for target in permutations(range(len(members))):
             for shifts in product(range(0, k, period), repeat=len(members)):
@@ -251,12 +244,13 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
 
 
 def extend_to_automorphism(
-    A: FiniteMonounary,
-    mapping: Union[Mapping[int, int], Iterable[tuple[int, int]]],
-    auts: Optional[Sequence[tuple[int, ...]]] = None,
-    cap: int = DEFAULT_AUT_CAP,
+    A: FiniteMonounary, mapping: Union[Mapping[int, int], Iterable[tuple[int, int]]]
 ) -> Optional[tuple[int, ...]]:
-    """First automorphism agreeing with the partial map, or None."""
+    """An automorphism agreeing with the partial map, or None.  Labellings
+    with the keys marked and with their images marked have equal
+    certificates iff one exists; it is then built top down, pairing the
+    cycles sorted by label sequence and aligned at their least rotations,
+    then at each element the children sorted by label on either side."""
     pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
     m: dict[int, int] = {}
     for k, v in pairs:
@@ -267,12 +261,25 @@ def extend_to_automorphism(
         m[k] = v
     if len(set(m.values())) != len(m):
         raise ValueError("map is not injective")
-    if auts is None:
-        auts = enumerate_automorphisms(A, cap=cap)
-    for p in auts:
-        if all(p[k] == v for k, v in m.items()):
-            return p
-    return None
+    sk = Skeleton(A.table)
+    src, src_seqs, src_rots, cert = label(sk, A.table, tuple(m))
+    dst, dst_seqs, dst_rots, dst_cert = label(sk, A.table, tuple(m.values()))
+    if cert != dst_cert:
+        return None
+    p = [0] * A.n
+    cyc = range(len(sk.cycles))
+    for a, b in zip(sorted(cyc, key=src_seqs.__getitem__), sorted(cyc, key=dst_seqs.__getitem__)):
+        image, shift = sk.cycles[b], dst_rots[b][0] - src_rots[a][0]
+        for t, c in enumerate(sk.cycles[a]):
+            p[c] = image[(t + shift) % len(image)]
+    kids = sk.children()
+    for level in reversed(sk.levels):  # parents first: p[x] is set before x's children
+        for x in level:
+            mine = sorted(kids[x], key=src.__getitem__)
+            theirs = sorted(kids[p[x]], key=dst.__getitem__)
+            for a, b in zip(mine, theirs):
+                p[a] = b
+    return tuple(p)
 
 
 # ---------------------------------------------------------------------------

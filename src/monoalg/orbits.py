@@ -1,73 +1,68 @@
-"""Orbits of tuples under the automorphism group.
+"""Orbits of elements and of tuples under the automorphism group.
 
-Single elements are labelled by the pointed certificate of the algebra
-around them.  A k-tuple label is built inductively: the (k-1)-prefix
-label, the last coordinate's 1-orbit label, and the marked certificate of
-the subalgebra the tuple generates (marks carrying generator positions).
-Two tuples get the same label iff some automorphism maps one to the other,
-so counting distinct labels counts orbits without touching the group.
+One top-down pass over `iso.label` with xs marked numbers the orbits of
+the automorphisms fixing every xs[i]: a cyclic x is keyed by its
+component's least-rotated label sequence and its phase modulo that
+sequence's period, an acyclic x by the orbit of f(x) and its own label.
+The k-tuple orbits starting in the orbit of x1 are the (k-1)-tuple
+orbits of the stabilizer of x1, so marking one representative per orbit
+of each successive stabilizer counts every arity in one walk.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from typing import Sequence
 
 from . import iso
-from .core import FiniteMonounary, Skeleton, generated, subalgebra
-from .iso import Certificate, brute_force_automorphisms, marked_certificate
+from .core import FiniteMonounary, Skeleton
+from .iso import brute_force_automorphisms
 
 
-class OrbitLabeler:
-    """Memoizing label factory for one fixed algebra; the memo is
-    per-instance."""
-
-    def __init__(self, A: FiniteMonounary):
-        self.A = A
-        self._skeleton = Skeleton(A.table)
-        self._memo: dict[tuple[int, ...], Certificate] = {}
-
-    def label(self, xs: tuple[int, ...]) -> Certificate:
-        if not xs:
-            raise ValueError("empty tuple has no orbit label")
-        got = self._memo.get(xs)
-        if got is not None:
-            return got
-        if len(xs) == 1:
-            if not 0 <= xs[0] < self.A.n:
-                raise ValueError(f"element out of range: {xs[0]}")
-            lab = ("pt", iso.label(self._skeleton, self.A.table, xs)[2])
-        else:
-            sub, elems = subalgebra(self.A, generated(self.A, xs))
-            local = {x: i for i, x in enumerate(elems)}
-            lab = (
-                self.label(xs[:-1]),
-                self.label(xs[-1:]),
-                marked_certificate(sub, tuple(local[x] for x in xs)),
-            )
-        self._memo[xs] = lab
-        return lab
+def _point_orbits(sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()) -> list[int]:
+    """Orbit number of every element under the automorphisms fixing
+    each xs[i]."""
+    labels, seqs, rots, _ = iso.label(sk, table, xs)
+    seq_ids: dict[tuple[int, ...], int] = {}
+    ids: dict[tuple, int] = {}  # cyclic keys have three entries, acyclic two
+    orbit = [0] * len(table)
+    for cycle, seq, (r, period) in zip(sk.cycles, seqs, rots):
+        s = seq_ids.setdefault(seq, len(seq_ids))
+        for t, c in enumerate(cycle):
+            orbit[c] = ids.setdefault((None, s, (t - r) % period), len(ids))
+    for x in sk.parents_first():
+        orbit[x] = ids.setdefault((orbit[table[x]], labels[x]), len(ids))
+    return orbit
 
 
 def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     """Partition of the domain into automorphism orbits, blocks and
     block list both ascending."""
-    labeler = OrbitLabeler(A)
-    blocks: dict[Certificate, list[int]] = {}
-    for x in range(A.n):
-        blocks.setdefault(labeler.label((x,)), []).append(x)
-    return tuple(sorted(tuple(b) for b in blocks.values()))
+    blocks: dict[int, list[int]] = {}
+    for x, o in enumerate(_point_orbits(Skeleton(A.table), A.table)):
+        blocks.setdefault(o, []).append(x)
+    return tuple(sorted(map(tuple, blocks.values())))
 
 
-def tuple_orbit_label(A: FiniteMonounary, xs: tuple[int, ...]) -> Certificate:
-    return OrbitLabeler(A).label(tuple(xs))
+def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
+    """Orbit counts of k-tuples (coordinates may repeat) for k = 1..up_to."""
+    if up_to < 1:
+        raise ValueError("arity must be positive")
+    sk = Skeleton(A.table)
+    counts = [0] * up_to
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        xs = stack.pop()
+        reps = dict(zip(_point_orbits(sk, A.table, xs), range(A.n))).values()
+        counts[len(xs)] += len(reps)
+        if len(xs) + 1 < up_to:
+            stack.extend(xs + (x,) for x in reps)
+    return counts
 
 
 def n_orbit_count(A: FiniteMonounary, k: int) -> int:
     """Number of orbits of k-tuples (coordinates may repeat)."""
-    if k < 1:
-        raise ValueError("arity must be positive")
-    labeler = OrbitLabeler(A)
-    return len({labeler.label(xs) for xs in product(range(A.n), repeat=k)})
+    return orbit_profile(A, k)[-1]
 
 
 def n_orbit_count_bruteforce(
@@ -104,7 +99,3 @@ def n_orbit_count_bruteforce(
 def is_transitive(A: FiniteMonounary) -> bool:
     return len(one_orbits(A)) == 1
 
-
-def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
-    """Orbit counts for arities 1..up_to."""
-    return [n_orbit_count(A, k) for k in range(1, up_to + 1)]

@@ -17,6 +17,35 @@ def tables(max_n: int = 6):
     )
 
 
+def symmetric_tables(min_n: int, max_n: int):
+    """Hypothesis strategy for tables on min_n..max_n points with many
+    symmetries: either every value lies below some m, so the points from
+    m on are leaves, or the table is copies of a small table under a
+    random relabelling."""
+    def below(n):
+        return st.integers(1, n).flatmap(
+            lambda m: st.tuples(*[st.integers(0, m - 1)] * n)
+        )
+
+    def copies(base):
+        k = len(base)
+        return st.integers(-(-min_n // k), max_n // k).flatmap(
+            lambda c: st.permutations(range(k * c)).map(
+                lambda p: tuple(p[base[q % k] + q // k * k] for q in inverse(p))
+            )
+        )
+
+    return st.integers(min_n, max_n).flatmap(below) | tables(max_n=12).flatmap(copies)
+
+
+def inverse(p):
+    """The inverse of a permutation given as its image sequence."""
+    inv = [0] * len(p)
+    for i, v in enumerate(p):
+        inv[v] = i
+    return inv
+
+
 def iso_bijections(t1, t2):
     if len(t1) != len(t2):
         return []

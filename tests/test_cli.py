@@ -56,6 +56,12 @@ def test_orbits(capsys):
     assert payload == {"profile": [2, 5], "one_orbits": [[0], [1, 2]]}
 
 
+def test_orbits_arity_must_be_positive(capsys):
+    for n in ("0", "-3"):
+        code, out, err = run(capsys, "orbits", "f: 0 0 0", "--n", n)
+        assert code == 2 and not out and "arity must be positive" in err
+
+
 def test_check_finite_properties(capsys):
     assert run(capsys, "check", "uh", "f: 1 2 0")[0] == 0
     assert run(capsys, "check", "uh", "f: 1 0 0")[0] == 1

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from monoalg import homogeneity, iso, symbolic
+from monoalg import homogeneity, iso, orbits, symbolic
 from monoalg.core import FiniteMonounary
 from monoalg.symbolic import Profile
 
@@ -82,6 +82,8 @@ def test_decompose_inverts_instantiate_on_deep_shapes():
 def test_long_path_has_only_the_identity():
     A = FiniteMonounary(_relabel(_path(5000), 7))
     assert iso.enumerate_automorphisms(A) == [tuple(range(5000))]
+    assert len(orbits.one_orbits(A)) == 5000
+    assert iso.extend_to_automorphism(A, {0: 0}) == tuple(range(5000))
 
 
 def test_certificates_stay_flat():

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monoalg import iso
+from monoalg import iso, symbolic
 from monoalg.core import FiniteMonounary, validate
-from oracles import exists_iso, iso_bijections, partial_iso_images, tables
+from oracles import exists_iso, inverse, iso_bijections, partial_iso_images, tables
 
 
 def test_known_pairs():
@@ -37,25 +37,18 @@ def test_certificate_is_relabelling_invariant(tab, rnd):
     n = len(tab)
     p = list(range(n))
     rnd.shuffle(p)
-    relabelled = tuple(p[tab[q]] for q in _inverse(p))
+    relabelled = tuple(p[tab[q]] for q in inverse(p))
     assert iso.table_certificate(tab) == iso.table_certificate(relabelled)
-
-
-def _inverse(p):
-    inv = [0] * len(p)
-    for i, v in enumerate(p):
-        inv[v] = i
-    return inv
 
 
 def test_marked_certificates_track_positions():
     A = validate([0, 0, 0])
     # both leaves look alike until one is marked
-    assert iso.pointed_certificate(A, 1) == iso.pointed_certificate(A, 2)
-    assert iso.pointed_certificate(A, 0) != iso.pointed_certificate(A, 1)
+    assert iso.marked_certificate(A, (1,)) == iso.marked_certificate(A, (2,))
+    assert iso.marked_certificate(A, (0,)) != iso.marked_certificate(A, (1,))
     assert iso.marked_certificate(A, (1, 2)) == iso.marked_certificate(A, (2, 1))
     B = validate([0, 0, 0, 1])
-    assert iso.pointed_certificate(B, 2) != iso.pointed_certificate(B, 3)
+    assert iso.marked_certificate(B, (2,)) != iso.marked_certificate(B, (3,))
     with pytest.raises(ValueError):
         iso.marked_certificate(A, (5,))
 
@@ -68,7 +61,7 @@ def test_pointed_certificates_split_into_automorphism_orbits(tab):
     for x in range(A.n):
         for y in range(A.n):
             same_orbit = any(p[x] == y for p in auts)
-            same_cert = iso.pointed_certificate(A, x) == iso.pointed_certificate(A, y)
+            same_cert = iso.marked_certificate(A, (x,)) == iso.marked_certificate(A, (y,))
             assert same_orbit == same_cert
 
 
@@ -103,7 +96,7 @@ def test_automorphisms_form_a_group(tab):
     auts = set(iso.enumerate_automorphisms(A))
     assert tuple(range(A.n)) in auts
     for p in auts:
-        assert tuple(_inverse(list(p))) in auts
+        assert tuple(inverse(list(p))) in auts
     sample = sorted(auts)[:6]
     for p in sample:
         for q in sample:
@@ -128,6 +121,36 @@ def test_extend_to_automorphism():
         iso.extend_to_automorphism(A, {1: 0, 2: 0})
     with pytest.raises(ValueError):
         iso.extend_to_automorphism(A, {1: 9})
+
+
+def test_extension_reaches_groups_above_the_cap():
+    for text in ("A[1;9]", "3*A[1;4] + Z2"):
+        A = symbolic.instantiate(symbolic.parse(text), 1)
+        with pytest.raises(ValueError, match="cap"):
+            iso.enumerate_automorphisms(A)
+        leaves = [x for x in range(A.n) if x not in A.table]
+        x, y = leaves[0], leaves[-1]
+        p = iso.extend_to_automorphism(A, {x: y, y: x})
+        assert p is not None and p[x] == y and p[y] == x
+        assert all(p[A.table[z]] == A.table[p[z]] for z in range(A.n))
+        assert iso.extend_to_automorphism(A, {x: A.table[x]}) is None
+
+
+@given(tables(max_n=6), st.data())
+@settings(max_examples=150, deadline=None)
+def test_extension_matches_brute_force(tab, data):
+    A = FiniteMonounary(tab)
+    r = data.draw(st.integers(1, min(3, A.n)))
+    keys = data.draw(st.lists(st.integers(0, A.n - 1), min_size=r, max_size=r, unique=True))
+    auts = iso.brute_force_automorphisms(A)
+    images = data.draw(
+        st.sampled_from([tuple(p[k] for k in keys) for p in auts])
+        | st.lists(st.integers(0, A.n - 1), min_size=r, max_size=r, unique=True)
+    )
+    m = dict(zip(keys, images))
+    p = iso.extend_to_automorphism(A, m)
+    assert (p is not None) == any(all(q[k] == v for k, v in m.items()) for q in auts)
+    assert p is None or p in auts and all(p[k] == v for k, v in m.items())
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
-"""Tuple orbit labels against the union-find brute force."""
+"""Orbits of points and tuple-orbit counts against the union-find brute
+force, and at sizes the brute force cannot reach against marked
+certificates and automorphism extension."""
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monoalg import orbits
+from monoalg import iso, orbits, symbolic
 from monoalg.core import FiniteMonounary, validate
 from monoalg.iso import brute_force_automorphisms
-from oracles import tables
+from monoalg.symbolic import Cardinal
+from oracles import symmetric_tables, tables
 
 
 def test_one_orbits_examples():
@@ -37,6 +40,9 @@ def test_transitivity():
 def test_arity_must_be_positive():
     with pytest.raises(ValueError):
         orbits.n_orbit_count(validate([0]), 0)
+    for k in (0, -3):
+        with pytest.raises(ValueError, match="arity must be positive"):
+            orbits.orbit_profile(validate([0, 0, 0]), k)
     with pytest.raises(ValueError):
         orbits.n_orbit_count_bruteforce(validate([0]), 0)
     with pytest.raises(ValueError, match="cap"):
@@ -45,7 +51,7 @@ def test_arity_must_be_positive():
 
 def test_labels_respect_coordinate_permutation_symmetry():
     A = validate([0, 0, 0])
-    lab = orbits.tuple_orbit_label
+    lab = iso.marked_certificate
     # (1,2) and (2,1) lie in one orbit: swap the twin leaves
     assert lab(A, (1, 2)) == lab(A, (2, 1))
     assert lab(A, (1, 1)) != lab(A, (1, 2))
@@ -78,3 +84,33 @@ def test_one_orbits_match_automorphism_action(tab):
 def test_orbit_counts_grow_with_arity(tab, k):
     A = FiniteMonounary(tab)
     assert orbits.n_orbit_count(A, k + 1) >= orbits.n_orbit_count(A, k)
+
+
+def test_orbits_of_large_instances():
+    S = symbolic.parse("A[3;4,4,4,4,4]")
+    A = symbolic.instantiate(S, 1)
+    assert A.n == 4095
+    assert Cardinal(len(orbits.one_orbits(A))) == symbolic.o1(S) == Cardinal(6)
+    B = symbolic.instantiate(symbolic.parse("2*A[2;3,3,3] + 3*Z5"), 1)
+    assert orbits.n_orbit_count(B, 2) == 76
+    assert orbits.orbit_profile(B, 2) == [len(orbits.one_orbits(B)), 76]
+
+
+@given(symmetric_tables(8, 200), st.data())
+@settings(max_examples=60, deadline=None)
+def test_one_orbits_are_the_marked_certificate_classes(tab, data):
+    A = FiniteMonounary(tab)
+    by_cert: dict = {}
+    for x in range(A.n):
+        by_cert.setdefault(iso.marked_certificate(A, (x,)), []).append(x)
+    blocks = orbits.one_orbits(A)
+    assert sorted(map(tuple, by_cert.values())) == list(blocks)
+    block_of = {x: b for b in blocks for x in b}
+    for _ in range(5):
+        x = data.draw(st.integers(0, A.n - 1))
+        y = data.draw(st.sampled_from(block_of[x]) | st.integers(0, A.n - 1))
+        p = iso.extend_to_automorphism(A, {x: y})
+        assert (p is not None) == (y in block_of[x])
+        if p is not None:
+            assert sorted(p) == list(range(A.n)) and p[x] == y
+            assert all(p[tab[z]] == tab[p[z]] for z in range(A.n))
