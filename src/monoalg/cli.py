@@ -34,7 +34,7 @@ import sys
 
 from . import core, enumeration, homogeneity, iso, orbits, semilinear, symbolic
 
-MAX_RANDOM_N = 10**6  # the largest random:N table the CLI builds
+MAX_RANDOM_N = 10**6  # the largest table the CLI builds (random:N, instantiate)
 
 # shape tokens only, with at least one descriptor letter
 _SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
@@ -147,47 +147,32 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
+# one table for shapes and finite tables; a finite table is decided
+# through its normal form
+_SHAPE_DECIDERS = {
+    "uh": symbolic.is_ultrahomogeneous,
+    "hom": symbolic.is_homogeneous,
+    "phom": symbolic.is_partially_homogeneous,
+    "transitive": symbolic.is_transitive,
+    "omega-cat": symbolic.is_omega_categorical,
+    "lf": symbolic.is_locally_finite,
+    "ulf": symbolic.is_ulf,
+}
+_FINITE_ALWAYS = ("omega-cat", "lf", "ulf")  # what a finite table without normal form still has
+_ORACLES = {
+    "uh": homogeneity.is_ultrahomogeneous_oracle,
+    "phom": homogeneity.is_partially_homogeneous_oracle,
+}
+
+
 def _check_finite(args, A: core.FiniteMonounary) -> bool:
+    """The definition-level searches: --oracle, hom-n and phom-n."""
     prop, bound = args.property, args.bound
-    if prop == "uh":
-        return (
-            homogeneity.is_ultrahomogeneous_oracle(A, bound)
-            if args.oracle
-            else homogeneity.is_ultrahomogeneous(A)
-        )
-    if prop == "hom":
-        return homogeneity.is_ultrahomogeneous(A)  # finite: same condition
+    if args.oracle:
+        return _ORACLES[prop](A, bound)
     if prop == "hom-n":
         return homogeneity.is_n_homogeneous(A, _need_k(args), bound)
-    if prop == "phom":
-        return (
-            homogeneity.is_partially_homogeneous_oracle(A, bound)
-            if args.oracle
-            else homogeneity.is_partially_homogeneous(A)
-        )
-    if prop == "phom-n":
-        return homogeneity.is_partially_n_homogeneous(A, _need_k(args), bound)
-    if prop == "transitive":
-        return orbits.is_transitive(A)
-    if prop in ("omega-cat", "lf", "ulf"):
-        return True  # finite structures satisfy all three outright
-    raise ValueError(f"property {prop!r} does not apply to a finite table")
-
-
-def _check_symbolic(args, S) -> bool:
-    prop = args.property
-    table = {
-        "uh": symbolic.is_ultrahomogeneous,
-        "hom": symbolic.is_homogeneous,
-        "phom": symbolic.is_partially_homogeneous,
-        "transitive": symbolic.is_transitive,
-        "omega-cat": symbolic.is_omega_categorical,
-        "lf": symbolic.is_locally_finite,
-        "ulf": symbolic.is_ulf,
-    }
-    if prop not in table:
-        raise ValueError(f"property {prop!r} does not apply to a symbolic shape")
-    return table[prop](S)
+    return homogeneity.is_partially_n_homogeneous(A, _need_k(args), bound)
 
 
 def _need_k(args) -> int:
@@ -197,16 +182,24 @@ def _need_k(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.property == "pf-uh":
-        alg = _load_any(args.algebra)
+    prop, arg = args.property, args.algebra
+    shape = prop != "pf-uh" and _looks_symbolic(arg)
+    if args.oracle and (prop not in _ORACLES or shape):
+        where = " on a symbolic shape" if shape else ""
+        raise ValueError(f"property {prop!r} has no --oracle{where}; it has one for uh and phom on finite tables")
+    if prop == "pf-uh":
+        alg = _load_any(arg)
         if isinstance(alg, core.FiniteMonounary):
             alg = core.PartialMonounary(alg.table)
         holds = homogeneity.pseudoforest_ultrahomogeneous(alg)
-    elif _looks_symbolic(args.algebra):
-        holds = _check_symbolic(args, symbolic.parse(args.algebra))
+    elif args.oracle or prop in ("hom-n", "phom-n"):
+        if shape:
+            raise ValueError(f"property {prop!r} does not apply to a symbolic shape")
+        holds = _check_finite(args, _load_total(arg))
     else:
-        holds = _check_finite(args, _load_total(args.algebra))
-    name = {"omega-cat": "omega_categorical"}.get(args.property, args.property.replace("-", "_"))
+        S = symbolic.parse(arg) if shape else homogeneity.normal_form(_load_total(arg))
+        holds = _SHAPE_DECIDERS[prop](S) if S is not None else prop in _FINITE_ALWAYS
+    name = {"omega-cat": "omega_categorical"}.get(prop, prop.replace("-", "_"))
     _emit(args, {"property": name, "holds": holds}, f"{name}: {str(holds).lower()}")
     return 0 if holds else 1
 
@@ -232,17 +225,34 @@ def _cmd_limit(args) -> int:
     return 0
 
 
+def _instance_size(S: symbolic.SymbolicAlgebra, w: int) -> int:
+    """Points of symbolic.instantiate(S, w), counted without building it;
+    descriptors with no finite instance count as empty."""
+    total = 0
+    for mult, desc in S.components:
+        if isinstance(desc, symbolic.Profile) and desc.tail is None:
+            level = points = desc.cycle
+            for a in desc.prefix:
+                level *= w if a.is_omega else a.as_int()
+                points += level
+            total += (w if mult.is_omega else mult.as_int()) * points
+    return total
+
+
 def _cmd_instantiate(args) -> int:
     S = symbolic.parse(args.shape)
-    if args.w is None:
-        raise ValueError("instantiate needs --w")
+    if args.w is None or args.w < 1:
+        raise ValueError("instantiate needs --w, at least 1")
+    n = _instance_size(S, args.w)
+    if n > MAX_RANDOM_N:
+        raise ValueError(f"instantiate builds at most {MAX_RANDOM_N} points; {args.shape!r} with w={args.w} has {n}")
     A = symbolic.instantiate(S, args.w)
     _emit(args, {"n": A.n, "f": list(A.table)}, core.to_text(A))
     return 0
 
 
 def _cmd_truncate(args) -> int:
-    S = symbolic.parse(args.shape) if not args.limit_k else symbolic.fraisse_limit(args.limit_k)
+    S = symbolic.parse(args.shape) if args.limit_k is None else symbolic.fraisse_limit(args.limit_k)
     T = symbolic.truncate(S, args.height, max_cycle=args.max_cycle)
     _emit(args, {"symbolic": symbolic.show(T)}, symbolic.show(T))
     return 0
@@ -295,14 +305,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="monoalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algebra=True):
+    default_bound = _default_bound()  # read for every verb, so a bad value always fails
+
+    def common(p, algebra=True, bound=True):
         if algebra:
             p.add_argument("algebra")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--bound", type=int, default=_default_bound())
+        if bound:
+            p.add_argument("--bound", type=int, default=default_bound)
         return p
 
-    common(sub.add_parser("analyze", help="structural report"))
+    common(sub.add_parser("analyze", help="structural report"), bound=False)
 
     p = sub.add_parser("iso", help="isomorphism test")
     p.add_argument("left")
@@ -312,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = common(sub.add_parser("aut", help="list automorphisms"))
     p.add_argument("--oracle", action="store_true", help="brute-force filter")
 
-    p = common(sub.add_parser("orbits", help="orbit profile"))
+    p = common(sub.add_parser("orbits", help="orbit profile"), bound=False)
     p.add_argument("--n", type=int, default=1, help="largest tuple arity")
 
     p = common(sub.add_parser("check", help="decide a property"), algebra=False)
@@ -329,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     common(sub.add_parser("classify", help="full homogeneity lattice report"))
 
-    common(sub.add_parser("decompose", help="symbolic normal form of a UH algebra"))
+    common(sub.add_parser("decompose", help="symbolic normal form of a UH algebra"), bound=False)
 
     p = sub.add_parser("limit", help="age-limit family")
     p.add_argument("--k", type=int, default=None, help="indegree bound; omit for all finite algebras")

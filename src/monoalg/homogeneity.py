@@ -6,10 +6,12 @@ when this holds for isomorphisms between n-element subalgebras; partially
 n-homogeneous when it holds for isomorphisms between the induced partial
 structures on arbitrary n-element subsets.
 
-Fast deciders use the structure theory (a finite algebra is UH iff
-elements of equal height inside components with equal cycle size have
-equal indegree and those components are isomorphic; the partially
-homogeneous algebras form five explicit families).  Oracles replay the
+Fast deciders read the shape that symbolic.decompose computes: a finite
+algebra is UH iff it has that normal form (trees uniform level by level,
+components with equal cycle size isomorphic), and partially homogeneous
+iff the form is one of the five shapes of
+symbolic.is_partially_homogeneous; the lattice report reads UH, partial
+homogeneity and transitivity off one normal form.  Oracles replay the
 definitions by exhaustive search and exist to be disagreed with, so they
 share nothing with the deciders.  They share one path with each other:
 the automorphisms and the isomorphisms between induced structures both
@@ -26,69 +28,32 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
-from . import core, iso, orbits
+from . import core, iso, symbolic
 from .core import FiniteMonounary, PartialMonounary
 
 
 # ---------------------------------------------------------------------------
 # fast deciders
 
+def normal_form(A: FiniteMonounary) -> Optional[symbolic.SymbolicAlgebra]:
+    """symbolic.decompose(A), or None when A is not ultrahomogeneous."""
+    try:
+        return symbolic.decompose(A)
+    except symbolic.NotUltrahomogeneous:
+        return None
+
+
 def is_ultrahomogeneous(A: FiniteMonounary) -> bool:
-    sk = core.Skeleton(A.table)
-    _, seqs, _, _ = iso.label(sk, A.table)
-    classes: dict[tuple[int, ...], int] = {}
-    comp_class = [classes.setdefault(seq, len(classes)) for seq in seqs]
-    indeg = [0] * A.n
-    for v in A.table:
-        indeg[v] += 1
-    seen: dict = {}
-    for x, (h, c) in enumerate(zip(sk.height, sk.comp)):
-        key = (h, len(seqs[c]))
-        val = (indeg[x], comp_class[c])
-        if seen.setdefault(key, val) != val:
-            return False
-    return True
-
-
-def _component_shapes(A: FiniteMonounary):
-    """Per component: ('Z', k) for a bare k-cycle, ('A1', a) for a 1-cycle
-    with a height-1 leaves and nothing deeper, else None."""
-    sk = core.Skeleton(A.table)
-    shapes = []
-    for cycle, block in zip(sk.cycles, sk.blocks()):
-        if len(block) == len(cycle):
-            shapes.append(("Z", len(cycle)))
-        elif len(cycle) == 1 and max(sk.height[x] for x in block) == 1:
-            shapes.append(("A1", len(block) - 1))
-        else:
-            shapes.append(None)
-    return shapes
+    return normal_form(A) is not None
 
 
 def is_partially_homogeneous(A: FiniteMonounary) -> bool:
-    """Membership in one of the five shapes closed under extending
-    isomorphisms of induced partial substructures:
-    fixed points + 2-cycles, fixed points + 3-cycles, fixed points + one
-    4-cycle, copies of a looped point with one leaf, or a single looped
-    point with any number of leaves."""
-    shapes = _component_shapes(A)
-    if any(s is None for s in shapes):
-        return False
-    if all(s in (("Z", 1), ("Z", 2)) for s in shapes):
-        return True
-    if all(s in (("Z", 1), ("Z", 3)) for s in shapes):
-        return True
-    if sum(1 for s in shapes if s == ("Z", 4)) == 1 and all(
-        s in (("Z", 1), ("Z", 4)) for s in shapes
-    ):
-        return True
-    if all(s == ("A1", 1) for s in shapes):
-        return True
-    if len(shapes) == 1 and shapes[0][0] == "A1":
-        return True
-    return False
+    """One of the five shapes of symbolic.is_partially_homogeneous, all of
+    them ultrahomogeneous."""
+    S = normal_form(A)
+    return S is not None and symbolic.is_partially_homogeneous(S)
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +64,9 @@ def _all_extend(
 ) -> bool:
     """For every pair (S, T) of equal-size sets, every isomorphism of the
     induced structures S -> T is the restriction of an automorphism."""
+    images_of = list(zip(*auts))  # images_of[x]: x's image under each automorphism
     for S in sets:
-        restrictions = {tuple(map(p.__getitem__, S)) for p in auts}
+        restrictions = set(zip(*map(images_of.__getitem__, S)))
         for T in sets:
             if len(T) == len(S) and not all(
                 images in restrictions for images in iso.partial_iso_images(tables, S, T)
@@ -218,12 +184,13 @@ class LatticeReport:
 
 def classify_lattice(A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND) -> LatticeReport:
     auts = _auts_for(A, bound, None)
-    uh = is_ultrahomogeneous(A)
+    S = normal_form(A)
+    uh = S is not None
     return LatticeReport(
-        transitive=orbits.is_transitive(A),
+        transitive=uh and symbolic.is_transitive(S),
         ph1=is_partially_n_homogeneous(A, 1, bound, auts),
         ph2=is_partially_n_homogeneous(A, 2, bound, auts),
-        ph=is_partially_homogeneous(A),
+        ph=uh and symbolic.is_partially_homogeneous(S),
         uh=uh,
         h=uh,
         h2=is_n_homogeneous(A, 2, bound, auts),

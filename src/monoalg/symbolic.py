@@ -415,7 +415,12 @@ def is_transitive(S: SymbolicAlgebra) -> bool:
 
 
 def is_partially_homogeneous(S: SymbolicAlgebra) -> bool:
-    """Same five shapes as the finite decider, with cardinals up to w."""
+    """Membership in one of the five shapes closed under extending
+    isomorphisms of induced partial substructures: fixed points +
+    2-cycles, fixed points + 3-cycles, fixed points + one 4-cycle, copies
+    of a looped point with one leaf, or a single looped point with any
+    number of leaves; cardinals go up to w.  Finite tables are decided
+    here too, through decompose."""
     if S.families:
         return False
     descs = [(m, d) for m, d in S.components]
@@ -517,7 +522,10 @@ class NotUltrahomogeneous(ValueError):
 
 
 def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
-    """Symbolic normal form of an ultrahomogeneous finite algebra."""
+    """Symbolic normal form of an ultrahomogeneous finite algebra; this
+    is the finite UH test: a finite algebra is UH iff its trees are
+    uniform level by level and components with equal cycle size are
+    isomorphic, and NotUltrahomogeneous names the first violation."""
     sk = core.Skeleton(A.table)
     kids = [0] * A.n
     for x, v in enumerate(A.table):

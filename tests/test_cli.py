@@ -218,3 +218,48 @@ def test_random_input_form_and_size_are_checked(capsys):
     assert code == 2 and "random:N:SEED" in err
     code, _, err = run(capsys, "analyze", "random:1000001:1")
     assert code == 2 and "1000000" in err
+
+
+def test_check_reads_a_finite_table_through_its_normal_form(capsys):
+    # not UH: no normal form, so the shape deciders answer for it
+    expected = {
+        "uh": False, "hom": False, "phom": False, "transitive": False,
+        "omega-cat": True, "lf": True, "ulf": True,
+    }
+    for prop, holds in expected.items():
+        code, payload = run_json(capsys, "check", prop, "f: 0 0 0 1")
+        assert code == (0 if holds else 1) and payload["holds"] is holds, prop
+    # UH: the same deciders read decompose's normal form Z2 + Z3
+    for prop, holds in [("uh", True), ("hom", True), ("phom", False), ("transitive", False), ("ulf", True)]:
+        assert run(capsys, "check", prop, "f: 1 0 3 4 2")[0] == (0 if holds else 1), prop
+
+
+def test_oracle_is_refused_where_there_is_none(capsys):
+    code, out, err = run(capsys, "check", "transitive", "f: 1 2 0", "--oracle")
+    assert code == 2 and not out and "'transitive'" in err and "--oracle" in err
+    code, out, err = run(capsys, "check", "uh", "Z3", "--oracle")
+    assert code == 2 and not out and "'uh'" in err and "symbolic shape" in err
+
+
+def test_bound_only_on_verbs_with_an_oracle(capsys):
+    for argv in (
+        ["analyze", "f: 0 0", "--bound", "3"],
+        ["orbits", "f: 0 0", "--bound", "-5"],
+        ["decompose", "f: 0", "--bound", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "--bound" in capsys.readouterr().err
+
+
+def test_truncate_limit_k_zero_names_the_rule(capsys):
+    code, out, err = run(capsys, "truncate", "--limit-k", "0", "--height", "2")
+    assert code == 2 and not out and "k must be at least 1" in err
+
+
+def test_instantiate_size_is_capped(capsys):
+    code, out, err = run(capsys, "instantiate", "A[1;w,w,w,w]", "--w", "1000")
+    assert code == 2 and not out and "1000000" in err
+    code, out, _ = run(capsys, "instantiate", "A[1;w]", "--w", "999999")
+    assert code == 0 and out.startswith("f: 0 0")
