@@ -272,8 +272,9 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_semilinear(args) -> int:
     A = _load_total(args.algebra)
-    order = semilinear.build_order(A, args.root)
+    # the oracle checks the tree against the bound before anything is built
     equal, alg_auts, _ = semilinear.check_aut_equality(A, args.root, bound=args.bound)
+    order = semilinear.build_order(A, args.root)
     payload = {
         "elements": list(order.elements),
         "bottom": order.bottom,
@@ -360,8 +361,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit-k", type=int, default=None, help="truncate the k-bounded limit family instead")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("enumerate", help="all classes up to isomorphism")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser(
+        "enumerate",
+        help=f"all classes up to isomorphism on n <= {enumeration.MAX_POINTS} points, built as multisets"
+        " of cycles of rooted trees, each as its least table",
+    )
+    p.add_argument("--n", type=int, required=True, help=f"number of points, 1..{enumeration.MAX_POINTS}")
     p.add_argument("--out")
 
     p = common(sub.add_parser("semilinear", help="order on the tree above a cyclic element"))

@@ -180,11 +180,6 @@ def cyclic_mask(A: FiniteMonounary) -> tuple[bool, ...]:
     return tuple(map(bool, Skeleton(A.table).cyclic))
 
 
-def acyclic_children(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
-    """Per element, its acyclic preimages in ascending order."""
-    return tuple(tuple(k) for k in Skeleton(A.table).children())
-
-
 def cycles_of(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     """All cycles, each listed in operation order starting at its least element."""
     return tuple(tuple(c) for c in Skeleton(A.table).cycles)

@@ -1,20 +1,32 @@
-"""Exhaustive enumeration up to isomorphism by certificate bucketing.
+"""Enumeration up to isomorphism, one table per class, built directly.
 
-Every raw table over n points is classified by its canonical certificate;
-the representative of a class is its lexicographically least table.  The
-table space is n^n, so n is capped at 7 (823543 raw tables).
+A connected monounary algebra is a cycle with a rooted tree hanging from
+each cycle point, so the classes are built bottom up (Beyer & Hedetniemi,
+SIAM J. Comput. 1980) and no raw table is ever swept:
+
+- a rooted tree on m nodes is a multiset of rooted trees whose sizes sum
+  to m - 1;
+- a connected class is a sequence of rooted trees around a cycle, kept
+  at its least rotation;
+- a class is a multiset of connected classes.
+
+Each class is laid out once and relabelled to the lexicographically
+least table of its class, and the corpus lists these ascending: the list
+a sweep over all n^n tables bucketed by certificate would give.
+Generation costs about one labelling per class, so n is capped at 12
+(57903 classes).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from typing import Iterator, Sequence
 
-from .core import FiniteMonounary
-from .iso import table_certificate
+from .core import FiniteMonounary, Skeleton
+from .orbits import _point_orbits
 
-MAX_POINTS = 7
+MAX_POINTS = 12
 
 
 @dataclass(frozen=True)
@@ -25,14 +37,146 @@ class Corpus:
     representatives: tuple[FiniteMonounary, ...]
 
 
+# ---------------------------------------------------------------------------
+# generation
+
+def _multisets(sizes: Sequence[int], upto: Sequence[int], total: int, top: int) -> Iterator[tuple[int, ...]]:
+    """Non-increasing tuples of ids below `top` whose sizes sum to `total`.
+    Ids are numbered by size, upto[s] of them of size at most s, and id 0
+    has size 1, so every partial choice completes."""
+    if not total:
+        yield ()
+        return
+    for i in range(min(top, upto[total]) - 1, -1, -1):
+        for rest in _multisets(sizes, upto, total - sizes[i], i + 1):
+            yield (i,) + rest
+
+
+def _sequences(sizes: Sequence[int], upto: Sequence[int], total: int, low: int) -> Iterator[tuple[int, ...]]:
+    """Tuples of ids at least `low` whose sizes sum to `total`."""
+    if not total:
+        yield ()
+        return
+    for i in range(low, upto[total]):
+        for rest in _sequences(sizes, upto, total - sizes[i], low):
+            yield (i,) + rest
+
+
+def _rooted_trees(n: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Every rooted tree on at most n nodes as the non-increasing tuple of
+    its subtrees' ids, ids numbered by size; with each tree's size and
+    upto[s], the number of trees on at most s nodes."""
+    kids: list[tuple[int, ...]] = [()]
+    sizes, upto = [1], [0, 1]
+    for m in range(2, n + 1):
+        for ks in _multisets(sizes, upto, m - 1, len(kids)):
+            kids.append(ks)
+            sizes.append(m)
+        upto.append(len(kids))
+    return kids, sizes, upto
+
+
+def _connected_tables(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """One table per connected class on at most n points, numbered by
+    size: the cycle 0 -> 1 -> ... -> k-1 -> 0, then the trees hanging
+    from the cycle points in order, each laid out breadth first; with
+    the number of tables on at most s points for each s."""
+    kids, sizes, tree_upto = _rooted_trees(n)
+    tables, upto = [], [0]
+    for m in range(1, n + 1):
+        for first in range(tree_upto[m]):
+            for rest in _sequences(sizes, tree_upto, m - sizes[first], first):
+                seq = (first,) + rest
+                if any(seq[r:] + seq[:r] < seq for r in range(1, len(seq))):
+                    continue  # not the least rotation
+                k = len(seq)
+                table = [(j + 1) % k for j in range(k)]
+                queue = list(zip(range(k), seq))
+                for node, tree in queue:
+                    for child in kids[tree]:
+                        queue.append((len(table), child))
+                        table.append(node)
+                tables.append(tuple(table))
+        upto.append(len(tables))
+    return tables, upto
+
+
+# ---------------------------------------------------------------------------
+# least table of a class
+
+def _least_table(table: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically least table isomorphic to `table`.
+
+    Labels 0, 1, ... go to points in turn; position i of the new table is
+    the label of f(p) for the point p labelled i, where f(p) keeps its
+    label or takes the next free one.  When no point has label i yet, the
+    labelled points are closed under f and p is chosen:
+    - least of all, a child of the least-labelled point with unlabelled
+      children;
+    - failing that, the unlabelled points are whole components, and p
+      starts a shortest unlabelled cycle, which closes soonest.
+    Candidates in one automorphism orbit are interchangeable by an
+    automorphism fixing every labelled point (for siblings, the orbit is
+    the tree label), so one is tried per orbit.  All labellings whose
+    prefix ties the least one are carried along together."""
+    n = len(table)
+    sk = Skeleton(table)
+    orbit = _point_orbits(sk, table)
+    kids = sk.children()
+    cycle_len = [0] * n
+    for cycle in sk.cycles:
+        for x in cycle:
+            cycle_len[x] = len(cycle)
+    # a state: label per point (-1 if none), points in label order, and
+    # the least label that may still have unlabelled children
+    states = [([-1] * n, [], 0)]
+    out = []
+    for i in range(n):
+        best, ties = n, []
+        for lab, pts, scan in states:
+            if i < len(pts):
+                branches = [(lab, pts, scan)]
+            else:
+                while scan < i and all(lab[c] >= 0 for c in kids[pts[scan]]):
+                    scan += 1
+                if scan < i:
+                    picks = [c for c in kids[pts[scan]] if lab[c] < 0]
+                else:
+                    k = min(c for c, l in zip(cycle_len, lab) if c and l < 0)
+                    picks = [x for x in range(n) if cycle_len[x] == k and lab[x] < 0]
+                branches = []
+                for p in {orbit[p]: p for p in picks}.values():
+                    b = lab.copy()
+                    b[p] = i
+                    branches.append((b, pts + [p], scan))
+            for state in branches:
+                lab, pts, _ = state
+                y = table[pts[i]]
+                if lab[y] < 0:
+                    lab[y] = len(pts)
+                    pts.append(y)
+                if lab[y] < best:
+                    best, ties = lab[y], [state]
+                elif lab[y] == best:
+                    ties.append(state)
+        out.append(best)
+        states = ties
+    return tuple(out)
+
+
 def enumerate_up_to_iso(n: int) -> Corpus:
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"n must be between 1 and {MAX_POINTS}, got {n}")
-    best: dict = {}
-    # tables arrive in lexicographic order, so the first hit per class is its least table
-    for t in product(range(n), repeat=n):
-        best.setdefault(table_certificate(t), t)
-    reps = sorted(best.values())
+    connected, upto = _connected_tables(n)
+    sizes = list(map(len, connected))
+    reps = []
+    for parts in _multisets(sizes, upto, n, len(connected)):
+        table: list[int] = []
+        for c in parts:
+            base = len(table)
+            table += (base + v for v in connected[c])
+        reps.append(_least_table(table))
+    reps.sort()
     return Corpus(n, tuple(FiniteMonounary(t) for t in reps))
 
 
@@ -59,15 +203,22 @@ def save_corpus(corpus: Corpus, path: str) -> None:
 def load_corpus(path: str) -> Corpus:
     with open(path) as fh:
         header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError("missing corpus header")
-        fields = dict(part.split("=") for part in header[1:].split())
-        n, count = int(fields["n"]), int(fields["count"])
-        reps = [
-            FiniteMonounary(tuple(int(p) for p in line.split()))
-            for line in fh
-            if line.strip()
-        ]
+        fields = dict(part.partition("=")[::2] for part in header[1:].split()) if header.startswith("#") else {}
+        try:
+            n, count = int(fields["n"]), int(fields["count"])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}, line 1: expected the corpus header '# n=N count=C', got {header!r}") from None
+        reps = []
+        for lineno, line in enumerate(fh, 2):
+            if not line.strip():
+                continue
+            try:
+                row = tuple(map(int, line.split()))
+                if len(row) != n:
+                    raise ValueError(f"{len(row)} entries, but the header says n={n}")
+                reps.append(FiniteMonounary(row))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if len(reps) != count:
         raise ValueError(f"corpus header promises {count} tables, found {len(reps)}")
     return Corpus(n, tuple(reps))

@@ -1,13 +1,21 @@
 """Independent reference implementations used only by the tests.
 
 Everything here recomputes answers from definitions (bijection filters,
-subset sweeps) and deliberately shares no code with the structured
-algorithms it is used to check.
+subset sweeps, Pólya counting) and deliberately shares no code with the
+structured algorithms it is used to check.  The one exception is
+`sweep_corpus`, which buckets tables by `iso.table_certificate`; the
+certificates are checked against bijection search in test_iso.py.
 """
 
-from itertools import combinations, permutations
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import gcd
 
 import hypothesis.strategies as st
+
+from monoalg.core import FiniteMonounary
+from monoalg.enumeration import Corpus
+from monoalg.iso import table_certificate
 
 
 def tables(max_n: int = 6):
@@ -127,3 +135,73 @@ def digraph_uh(ptable) -> bool:
                         if perm not in avail:
                             return False
     return True
+
+
+def sweep_corpus(n):
+    """Every class on n points by sweeping all n^n tables and bucketing
+    them by certificate; tables arrive in lexicographic order, so the
+    first of each bucket is its class's least table."""
+    best = {}
+    for t in product(range(n), repeat=n):
+        best.setdefault(table_certificate(t), t)
+    return Corpus(n, tuple(FiniteMonounary(t) for t in sorted(best.values())))
+
+
+def least_relabelling(t):
+    """The least table over every relabelling of t's points."""
+    n = len(t)
+    best = None
+    for p in permutations(range(n)):
+        q = [0] * n
+        for x in range(n):
+            q[p[x]] = p[t[x]]
+        if best is None or q < best:
+            best = q
+    return tuple(best)
+
+
+def _euler_transform(a):
+    """b[m], m = 0..len(a)-1: multisets of weight m of objects counted by
+    a[k] per weight k (a[0] is ignored)."""
+    b = [Fraction(1)]
+    for m in range(1, len(a)):
+        b.append(sum(
+            sum(d * a[d] for d in range(1, k + 1) if k % d == 0) * b[m - k]
+            for k in range(1, m + 1)
+        ) / m)
+    return b
+
+
+def polya_class_counts(up_to):
+    """Isomorphism classes of monounary algebras on 1..up_to points by
+    Pólya counting (Harary & Palmer, Graphical Enumeration, 1973): rooted
+    trees T(x) (OEIS A000081), connected classes as the cycle index of
+    C_k evaluated at T(x), T(x^2), ... and summed over k (A002861), then
+    the Euler transform (A001372)."""
+    N = up_to + 1
+    trees = [0, 1]  # a rooted tree is a root over a multiset of trees
+    for m in range(2, N):
+        trees.append(_euler_transform(trees)[m - 1])
+
+    def mul(p, q):
+        r = [Fraction(0)] * N
+        for i, x in enumerate(p):
+            if x:
+                for j in range(N - i):
+                    r[i + j] += x * q[j]
+        return r
+
+    connected = [Fraction(0)] * N
+    for d in range(1, N):
+        phi = sum(1 for j in range(1, d + 1) if gcd(j, d) == 1)
+        t_d = [Fraction(0)] * N  # T(x^d)
+        for m in range(1, (N - 1) // d + 1):
+            t_d[m * d] = Fraction(trees[m])
+        power = t_d
+        for j in range(1, (N - 1) // d + 1):  # the term of C_k, k = j*d
+            for m in range(N):
+                connected[m] += Fraction(phi, j * d) * power[m]
+            power = mul(power, t_d)
+    classes = _euler_transform(connected)
+    assert all(c.denominator == 1 for c in classes)
+    return [int(c) for c in classes[1:]]

@@ -1,12 +1,14 @@
 """Command line behaviour: verbs, exit codes, JSON payload schemas."""
 
 import json
+import time
 
 import jsonschema
 import pytest
 
 from monoalg import schemas
 from monoalg.cli import main
+from monoalg.enumeration import MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -140,6 +142,20 @@ def test_enumerate(capsys, tmp_path):
     from monoalg.enumeration import load_corpus
 
     assert len(load_corpus(str(target)).representatives) == 19
+
+
+def test_enumerate_names_its_limit(capsys):
+    code, out, err = run(capsys, "enumerate", "--n", str(MAX_POINTS + 1))
+    assert code == 2 and out == ""
+    assert f"between 1 and {MAX_POINTS}" in err
+
+
+def test_semilinear_checks_the_bound_first(capsys):
+    table = "f: 0 " + " ".join(map(str, range(9999)))  # a 10^4-point path
+    start = time.perf_counter()
+    code, _, err = run(capsys, "semilinear", table, "--root", "0")
+    assert code == 2 and "tree size 10000 > 8" in err
+    assert time.perf_counter() - start < 1
 
 
 def test_semilinear(capsys):

@@ -1,5 +1,6 @@
-"""Exhaustive enumeration: class counts, representative canonicity,
-determinism, corpus files."""
+"""Enumeration up to isomorphism: class counts against Pólya counting,
+the sweep over all tables, representative canonicity, determinism,
+corpus files."""
 
 import random
 
@@ -7,16 +8,25 @@ import pytest
 
 from monoalg import enumeration
 from monoalg.core import FiniteMonounary
-from monoalg.iso import are_isomorphic, table_certificate
-from oracles import exists_iso
+from monoalg.iso import table_certificate
+from oracles import exists_iso, least_relabelling, polya_class_counts, sweep_corpus
 
-# class counts for 1..5 points, confirmed by pairwise brute-force
-# bijection checks in test_every_table_matches_exactly_one_representative
+# class counts for 1..5 points (OEIS A001372); Pólya counting checks
+# them further in test_counts_equal_polya_counting
 KNOWN_COUNTS = [1, 3, 7, 19, 47]
 
 
 def test_counts_small():
     assert enumeration.counts(5) == KNOWN_COUNTS
+
+
+def test_counts_equal_polya_counting():
+    assert enumeration.counts(10) == polya_class_counts(10)
+
+
+def test_generator_equals_the_sweep_over_all_tables():
+    for n in range(1, 7):
+        assert enumeration.enumerate_up_to_iso(n) == sweep_corpus(n)
 
 
 def test_representatives_are_pairwise_non_isomorphic(corpus):
@@ -32,16 +42,19 @@ def test_representatives_are_pairwise_non_isomorphic(corpus):
         assert not exists_iso(A.table, B.table)
 
 
-def test_every_table_matches_exactly_one_representative(corpus):
+def test_every_table_matches_exactly_one_representative():
+    reps = {n: enumeration.enumerate_up_to_iso(n).representatives for n in range(1, 9)}
+    certs = {n: [table_certificate(A.table) for A in reps[n]] for n in reps}
     rng = random.Random(11)
     for _ in range(40):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, 8)
         t = tuple(rng.randrange(n) for _ in range(n))
-        hits = [A for A in corpus[n] if are_isomorphic(FiniteMonounary(t), A)]
+        c = table_certificate(t)
+        hits = [A for A, cert in zip(reps[n], certs[n]) if cert == c]
         assert len(hits) == 1
-        assert exists_iso(t, hits[0].table)
-        # representative is the least table of its class
-        assert hits[0].table <= t
+        # the representative is the least table of t's class, which also
+        # makes it isomorphic to t
+        assert hits[0].table == least_relabelling(t)
 
 
 def test_enumeration_is_deterministic():
@@ -52,7 +65,7 @@ def test_bounds():
     with pytest.raises(ValueError):
         enumeration.enumerate_up_to_iso(0)
     with pytest.raises(ValueError):
-        enumeration.enumerate_up_to_iso(8)
+        enumeration.enumerate_up_to_iso(enumeration.MAX_POINTS + 1)
 
 
 def test_random_algebra_is_seed_deterministic():
@@ -82,4 +95,21 @@ def test_load_corpus_validates_header(tmp_path):
         enumeration.load_corpus(str(path))
     path.write_text("0 0\n")
     with pytest.raises(ValueError, match="header"):
+        enumeration.load_corpus(str(path))
+
+
+def test_load_corpus_names_the_bad_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# n=3 count=2\n0 0\n1 0 0 0\n")
+    with pytest.raises(ValueError, match="line 2: 2 entries, but the header says n=3"):
+        enumeration.load_corpus(str(path))
+    path.write_text("# n=3 count=2\n0 0 0\n1 0 0 0\n")
+    with pytest.raises(ValueError, match="line 3: 4 entries"):
+        enumeration.load_corpus(str(path))
+
+
+def test_load_corpus_header_needs_n(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("# count=1\n0\n")
+    with pytest.raises(ValueError, match="line 1: expected the corpus header"):
         enumeration.load_corpus(str(path))
