@@ -22,6 +22,14 @@ table "f: 0 0 1"), the same two forms inline, "random:N:SEED", or, for
 the verbs that accept shapes, a symbolic sum such as "2*A[3;w,2]+w*B[w]".
 Exit codes: 0 holds/done, 1 property fails, 2 error.  MONOALG_BOUND sets
 the default oracle bound (otherwise 8).
+
+Each verb imports only the modules it reads, so a call pays only for
+the code it runs; the parser reads its limits from core.  Work is
+bounded by stated limits: random:N and instantiate build at most 10^6
+points, aut lists at most iso.DEFAULT_AUT_CAP automorphisms, orbits
+walks at most orbits.MAX_ORBIT_ARITY coordinates and
+orbits.MAX_ORBIT_LABELLINGS labellings, and enumerate goes up to
+core.MAX_POINTS points.
 """
 
 from __future__ import annotations
@@ -31,8 +39,12 @@ import json
 import os
 import re
 import sys
+from typing import TYPE_CHECKING, Callable
 
-from . import core, enumeration, homogeneity, iso, orbits, semilinear, symbolic
+from . import core
+
+if TYPE_CHECKING:
+    from . import symbolic
 
 MAX_RANDOM_N = 10**6  # the largest table the CLI builds (random:N, instantiate)
 
@@ -43,7 +55,7 @@ _SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
 def _default_bound() -> int:
     env = os.environ.get("MONOALG_BOUND")
     try:
-        return int(env) if env else iso.DEFAULT_BOUND
+        return int(env) if env else core.DEFAULT_BOUND
     except ValueError:
         raise ValueError(f"MONOALG_BOUND must be an integer, got {env!r}") from None
 
@@ -61,7 +73,7 @@ def _load_any(arg: str):
             raise ValueError(f"expected random:N:SEED with integers N and SEED, got {arg!r}") from None
         if not 1 <= n <= MAX_RANDOM_N:
             raise ValueError(f"random:N needs 1 <= N <= {MAX_RANDOM_N}, got N={n}")
-        return enumeration.random_algebra(n, seed)
+        return core.random_algebra(n, seed)
     if arg.lstrip().startswith("{"):
         return core.from_json(arg)
     try:
@@ -81,8 +93,9 @@ def _looks_symbolic(arg: str) -> bool:
     return _SHAPE.fullmatch(arg) is not None and not os.path.exists(arg)
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    print(json.dumps(payload) if args.json else human)
+def _emit(args, payload: dict, human: Callable[[], str]) -> None:
+    """Print the payload as JSON, or the text that `human` builds."""
+    print(json.dumps(payload) if args.json else human())
 
 
 def _cmd_analyze(args) -> int:
@@ -101,75 +114,87 @@ def _cmd_analyze(args) -> int:
             "cycle_choices": [sorted(c) for c in r.min_generating.cycle_choices],
         },
     }
-    human = "\n".join(
-        [
-            f"n = {A.n}",
-            f"components: {payload['components']}",
-            f"cyclic: {payload['cyclic']}",
-            f"heights: {payload['heights']} (algebra height {r.height})",
-            f"leaves: {payload['leaves']}",
-            f"cycle sizes: {payload['cycle_sizes']}",
-            f"minimal generators: leaves {payload['min_generating']['leaves']}"
-            f" + one choice from each of {payload['min_generating']['cycle_choices']}",
-        ]
-    )
+
+    def human() -> str:
+        return "\n".join(
+            [
+                f"n = {A.n}",
+                f"components: {payload['components']}",
+                f"cyclic: {payload['cyclic']}",
+                f"heights: {payload['heights']} (algebra height {r.height})",
+                f"leaves: {payload['leaves']}",
+                f"cycle sizes: {payload['cycle_sizes']}",
+                f"minimal generators: leaves {payload['min_generating']['leaves']}"
+                f" + one choice from each of {payload['min_generating']['cycle_choices']}",
+            ]
+        )
+
     _emit(args, payload, human)
     return 0
 
 
 def _cmd_iso(args) -> int:
+    from . import iso
+
     A, B = _load_total(args.left), _load_total(args.right)
     verdict = iso.are_isomorphic(A, B)
-    _emit(args, {"isomorphic": verdict}, f"isomorphic: {str(verdict).lower()}")
+    _emit(args, {"isomorphic": verdict}, lambda: f"isomorphic: {str(verdict).lower()}")
     return 0 if verdict else 1
 
 
 def _cmd_aut(args) -> int:
+    from . import iso
+
     A = _load_total(args.algebra)
     if args.oracle:
         auts = iso.brute_force_automorphisms(A, bound=args.bound)
     else:
         auts = iso.enumerate_automorphisms(A)
-    payload = {"count": len(auts), "automorphisms": [list(p) for p in auts]}
-    _emit(args, payload, "\n".join(str(list(p)) for p in auts))
+    # json writes the tuples as arrays
+    _emit(args, {"count": len(auts), "automorphisms": auts}, lambda: "\n".join(str(list(p)) for p in auts))
     return 0
 
 
 def _cmd_orbits(args) -> int:
+    from . import orbits
+
     A = _load_total(args.algebra)
     profile = orbits.orbit_profile(A, args.n)
     blocks = [list(b) for b in orbits.one_orbits(A)]
     _emit(
         args,
         {"profile": profile, "one_orbits": blocks},
-        f"profile: {profile}\none_orbits: {blocks}",
+        lambda: f"profile: {profile}\none_orbits: {blocks}",
     )
     return 0
 
 
-# one table for shapes and finite tables; a finite table is decided
-# through its normal form
+# one table of deciders in symbolic for shapes and finite tables; a finite
+# table is decided through its normal form.  This table and _ORACLES
+# (in homogeneity) hold names, so that importing the CLI imports neither.
 _SHAPE_DECIDERS = {
-    "uh": symbolic.is_ultrahomogeneous,
-    "hom": symbolic.is_homogeneous,
-    "phom": symbolic.is_partially_homogeneous,
-    "transitive": symbolic.is_transitive,
-    "omega-cat": symbolic.is_omega_categorical,
-    "lf": symbolic.is_locally_finite,
-    "ulf": symbolic.is_ulf,
+    "uh": "is_ultrahomogeneous",
+    "hom": "is_homogeneous",
+    "phom": "is_partially_homogeneous",
+    "transitive": "is_transitive",
+    "omega-cat": "is_omega_categorical",
+    "lf": "is_locally_finite",
+    "ulf": "is_ulf",
 }
 _FINITE_ALWAYS = ("omega-cat", "lf", "ulf")  # what a finite table without normal form still has
 _ORACLES = {
-    "uh": homogeneity.is_ultrahomogeneous_oracle,
-    "phom": homogeneity.is_partially_homogeneous_oracle,
+    "uh": "is_ultrahomogeneous_oracle",
+    "phom": "is_partially_homogeneous_oracle",
 }
 
 
 def _check_finite(args, A: core.FiniteMonounary) -> bool:
     """The definition-level searches: --oracle, hom-n and phom-n."""
+    from . import homogeneity
+
     prop, bound = args.property, args.bound
     if args.oracle:
-        return _ORACLES[prop](A, bound)
+        return getattr(homogeneity, _ORACLES[prop])(A, bound)
     if prop == "hom-n":
         return homogeneity.is_n_homogeneous(A, _need_k(args), bound)
     return homogeneity.is_partially_n_homogeneous(A, _need_k(args), bound)
@@ -182,6 +207,8 @@ def _need_k(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import homogeneity, symbolic
+
     prop, arg = args.property, args.algebra
     shape = prop != "pf-uh" and _looks_symbolic(arg)
     if args.oracle and (prop not in _ORACLES or shape):
@@ -198,36 +225,47 @@ def _cmd_check(args) -> int:
         holds = _check_finite(args, _load_total(arg))
     else:
         S = symbolic.parse(arg) if shape else homogeneity.normal_form(_load_total(arg))
-        holds = _SHAPE_DECIDERS[prop](S) if S is not None else prop in _FINITE_ALWAYS
+        holds = getattr(symbolic, _SHAPE_DECIDERS[prop])(S) if S is not None else prop in _FINITE_ALWAYS
     name = {"omega-cat": "omega_categorical"}.get(prop, prop.replace("-", "_"))
-    _emit(args, {"property": name, "holds": holds}, f"{name}: {str(holds).lower()}")
+    _emit(args, {"property": name, "holds": holds}, lambda: f"{name}: {str(holds).lower()}")
     return 0 if holds else 1
 
 
 def _cmd_classify(args) -> int:
+    from . import homogeneity
+
     A = _load_total(args.algebra)
     report = homogeneity.classify_lattice(A, bound=args.bound).to_dict()
-    human = ", ".join(f"{k}={str(v).lower()}" for k, v in report.items())
-    _emit(args, report, human)
+    _emit(args, report, lambda: ", ".join(f"{k}={str(v).lower()}" for k, v in report.items()))
     return 0
 
 
+def _emit_shape(args, S) -> None:
+    from . import symbolic
+
+    text = symbolic.show(S)
+    _emit(args, {"symbolic": text}, lambda: text)
+
+
 def _cmd_decompose(args) -> int:
-    A = _load_total(args.algebra)
-    S = symbolic.decompose(A)
-    _emit(args, {"symbolic": symbolic.show(S)}, symbolic.show(S))
+    from . import symbolic
+
+    _emit_shape(args, symbolic.decompose(_load_total(args.algebra)))
     return 0
 
 
 def _cmd_limit(args) -> int:
-    S = symbolic.fraisse_limit(args.k)
-    _emit(args, {"symbolic": symbolic.show(S)}, symbolic.show(S))
+    from . import symbolic
+
+    _emit_shape(args, symbolic.fraisse_limit(args.k))
     return 0
 
 
 def _instance_size(S: symbolic.SymbolicAlgebra, w: int) -> int:
     """Points of symbolic.instantiate(S, w), counted without building it;
     descriptors with no finite instance count as empty."""
+    from . import symbolic
+
     total = 0
     for mult, desc in S.components:
         if isinstance(desc, symbolic.Profile) and desc.tail is None:
@@ -240,6 +278,8 @@ def _instance_size(S: symbolic.SymbolicAlgebra, w: int) -> int:
 
 
 def _cmd_instantiate(args) -> int:
+    from . import symbolic
+
     S = symbolic.parse(args.shape)
     if args.w is None or args.w < 1:
         raise ValueError("instantiate needs --w, at least 1")
@@ -247,18 +287,21 @@ def _cmd_instantiate(args) -> int:
     if n > MAX_RANDOM_N:
         raise ValueError(f"instantiate builds at most {MAX_RANDOM_N} points; {args.shape!r} with w={args.w} has {n}")
     A = symbolic.instantiate(S, args.w)
-    _emit(args, {"n": A.n, "f": list(A.table)}, core.to_text(A))
+    _emit(args, {"n": A.n, "f": list(A.table)}, lambda: core.to_text(A))
     return 0
 
 
 def _cmd_truncate(args) -> int:
+    from . import symbolic
+
     S = symbolic.parse(args.shape) if args.limit_k is None else symbolic.fraisse_limit(args.limit_k)
-    T = symbolic.truncate(S, args.height, max_cycle=args.max_cycle)
-    _emit(args, {"symbolic": symbolic.show(T)}, symbolic.show(T))
+    _emit_shape(args, symbolic.truncate(S, args.height, max_cycle=args.max_cycle))
     return 0
 
 
 def _cmd_enumerate(args) -> int:
+    from . import enumeration
+
     corpus = enumeration.enumerate_up_to_iso(args.n)
     if args.out:
         enumeration.save_corpus(corpus, args.out)
@@ -271,6 +314,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_semilinear(args) -> int:
+    from . import semilinear
+
     A = _load_total(args.algebra)
     # the oracle checks the tree against the bound before anything is built
     equal, alg_auts, _ = semilinear.check_aut_equality(A, args.root, bound=args.bound)
@@ -282,11 +327,14 @@ def _cmd_semilinear(args) -> int:
         "aut_equality": equal,
         "aut_count": len(alg_auts),
     }
-    human = (
-        f"elements: {payload['elements']} (bottom {order.bottom})\n"
-        f"covers: {payload['covers']}\n"
-        f"aut groups agree: {str(equal).lower()} ({len(alg_auts)} automorphisms)"
-    )
+
+    def human() -> str:
+        return (
+            f"elements: {payload['elements']} (bottom {order.bottom})\n"
+            f"covers: {payload['covers']}\n"
+            f"aut groups agree: {str(equal).lower()} ({len(alg_auts)} automorphisms)"
+        )
+
     _emit(args, payload, human)
     return 0 if equal else 1
 
@@ -363,10 +411,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        help=f"all classes up to isomorphism on n <= {enumeration.MAX_POINTS} points, built as multisets"
+        help=f"all classes up to isomorphism on n <= {core.MAX_POINTS} points, built as multisets"
         " of cycles of rooted trees, each as its least table",
     )
-    p.add_argument("--n", type=int, required=True, help=f"number of points, 1..{enumeration.MAX_POINTS}")
+    p.add_argument("--n", type=int, required=True, help=f"number of points, 1..{core.MAX_POINTS}")
     p.add_argument("--out")
 
     p = common(sub.add_parser("semilinear", help="order on the tree above a cyclic element"))

@@ -9,53 +9,77 @@ in general only a partial algebra.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+
+# stated limits, kept here so that building the CLI's parser reads them
+# without importing the modules that enforce them
+DEFAULT_BOUND = 8  # largest domain the brute-force oracles search
+MAX_POINTS = 12  # largest n that enumeration builds every class for (57903 classes)
 
 
-@dataclass(frozen=True)
-class FiniteMonounary:
-    """Total unary operation given as its value table."""
+class _Monounary:
+    """A value table checked once: entry i is f(i), an int in range(n)
+    that is not a bool, or None where undefined when the class allows it.
+    Instances are immutable, equal when their type and table are, and
+    hash and print like frozen records."""
 
-    table: tuple[int, ...]
+    __slots__ = ("table",)
+    _undefined_ok = False
 
-    def __post_init__(self) -> None:
-        n = len(self.table)
+    def __init__(self, table: tuple) -> None:
+        n = len(table)
         if n == 0:
             raise ValueError("empty table")
-        for i, v in enumerate(self.table):
+        for i, v in enumerate(table):
             if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                if v is None and self._undefined_ok:
+                    continue
                 raise ValueError(f"entry {i} out of range: {v!r}")
+        object.__setattr__(self, "table", table)
 
     @property
     def n(self) -> int:
         return len(self.table)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.table == other.table
+
+    def __hash__(self) -> int:
+        return hash((self.table,))
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(table={self.table!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
+
+    def __reduce__(self):
+        return self.__class__, (self.table,)
+
+
+class FiniteMonounary(_Monounary):
+    """Total unary operation given as its value table."""
+
+    __slots__ = ()
+    table: tuple[int, ...]
 
     def __call__(self, x: int) -> int:
         return self.table[x]
 
 
-@dataclass(frozen=True)
-class PartialMonounary:
+class PartialMonounary(_Monounary):
     """Unary operation that may be undefined (None) on some elements."""
 
+    __slots__ = ()
+    _undefined_ok = True
     table: tuple[Union[int, None], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.table)
-        if n == 0:
-            raise ValueError("empty table")
-        for i, v in enumerate(self.table):
-            if v is None:
-                continue
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                raise ValueError(f"entry {i} out of range: {v!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.table)
 
     def domain(self) -> tuple[int, ...]:
         return tuple(x for x, v in enumerate(self.table) if v is not None)
@@ -71,6 +95,16 @@ def validate(raw: Sequence[int]) -> FiniteMonounary:
 
 def validate_partial(raw: Sequence[Union[int, None]]) -> PartialMonounary:
     return PartialMonounary(tuple(raw))
+
+
+def random_algebra(n: int, seed: int) -> FiniteMonounary:
+    """Uniform over raw tables (not over isomorphism classes)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    import random
+
+    rng = random.Random(seed)
+    return FiniteMonounary(tuple(rng.randrange(n) for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +233,7 @@ def components(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(tuple(b) for b in Skeleton(A.table).blocks()))
 
 
-@dataclass(frozen=True)
-class MinimalGenerators:
+class MinimalGenerators(NamedTuple):
     """Minimal generating sets, in factored form.
 
     Every minimal generating set is `leaves` together with one element
@@ -216,8 +249,7 @@ class MinimalGenerators:
             yield self.leaves | frozenset(picks)
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     components: tuple[tuple[int, ...], ...]
     cyclic: frozenset[int]
     heights: tuple[int, ...]

@@ -13,24 +13,19 @@ SIAM J. Comput. 1980) and no raw table is ever swept:
 Each class is laid out once and relabelled to the lexicographically
 least table of its class, and the corpus lists these ascending: the list
 a sweep over all n^n tables bucketed by certificate would give.
-Generation costs about one labelling per class, so n is capped at 12
-(57903 classes).
+Generation costs about one labelling per class, so n is capped at
+core.MAX_POINTS = 12 (57903 classes).
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .core import FiniteMonounary, Skeleton
+from .core import MAX_POINTS, FiniteMonounary, Skeleton
 from .orbits import _point_orbits
 
-MAX_POINTS = 12
 
-
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(NamedTuple):
     """All isomorphism classes on n points, one least-table representative each."""
 
     n: int
@@ -183,14 +178,6 @@ def enumerate_up_to_iso(n: int) -> Corpus:
 def counts(up_to: int) -> list[int]:
     """Number of isomorphism classes for each point count 1..up_to."""
     return [len(enumerate_up_to_iso(k).representatives) for k in range(1, up_to + 1)]
-
-
-def random_algebra(n: int, seed: int) -> FiniteMonounary:
-    """Uniform over raw tables (not over isomorphism classes)."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    rng = random.Random(seed)
-    return FiniteMonounary(tuple(rng.randrange(n) for _ in range(n)))
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

@@ -98,21 +98,21 @@ def _auts_for(A: FiniteMonounary, bound: int, auts) -> list[tuple[int, ...]]:
 
 
 def is_ultrahomogeneous_oracle(
-    A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, bound: int = core.DEFAULT_BOUND, auts=None
 ) -> bool:
     tables = [A.table]
     return _all_extend(tables, _auts_for(A, bound, auts), _subalgebras(tables))
 
 
 def is_1_ultrahomogeneous_oracle(
-    A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, bound: int = core.DEFAULT_BOUND, auts=None
 ) -> bool:
     tables = [A.table]
     return _all_extend(tables, _auts_for(A, bound, auts), _subalgebras(tables, one_generated=True))
 
 
 def is_n_homogeneous(
-    A: FiniteMonounary, k: int, bound: int = iso.DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, k: int, bound: int = core.DEFAULT_BOUND, auts=None
 ) -> bool:
     """Isomorphisms between k-element subalgebras all extend; vacuously
     true when no k-element subalgebra exists."""
@@ -124,7 +124,7 @@ def is_n_homogeneous(
 
 
 def is_partially_n_homogeneous(
-    A: FiniteMonounary, k: int, bound: int = iso.DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, k: int, bound: int = core.DEFAULT_BOUND, auts=None
 ) -> bool:
     """Isomorphisms between induced partial structures on arbitrary
     k-subsets all extend to automorphisms."""
@@ -135,7 +135,7 @@ def is_partially_n_homogeneous(
 
 
 def is_partially_homogeneous_oracle(
-    A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND, auts=None
+    A: FiniteMonounary, bound: int = core.DEFAULT_BOUND, auts=None
 ) -> bool:
     auts = _auts_for(A, bound, auts)
     return all(
@@ -182,7 +182,7 @@ class LatticeReport:
         )
 
 
-def classify_lattice(A: FiniteMonounary, bound: int = iso.DEFAULT_BOUND) -> LatticeReport:
+def classify_lattice(A: FiniteMonounary, bound: int = core.DEFAULT_BOUND) -> LatticeReport:
     auts = _auts_for(A, bound, None)
     S = normal_form(A)
     uh = S is not None
@@ -223,7 +223,7 @@ def pseudoforest_ultrahomogeneous(P: PartialMonounary) -> bool:
 # ---------------------------------------------------------------------------
 # several unary operations at once
 
-def multiunary_brute_check(tables: Sequence[Sequence[int]], bound: int = iso.DEFAULT_BOUND) -> dict:
+def multiunary_brute_check(tables: Sequence[Sequence[int]], bound: int = core.DEFAULT_BOUND) -> dict:
     """Brute-force 1-UH and UH for an algebra with several unary
     operations over one domain.  Returns both verdicts."""
     tabs = [tuple(t) for t in tables]

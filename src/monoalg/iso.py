@@ -18,13 +18,11 @@ from __future__ import annotations
 from itertools import groupby, permutations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import FiniteMonounary, Skeleton, generated
+from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, generated
 
 Certificate = tuple
 
 DEFAULT_AUT_CAP = 100_000
-
-DEFAULT_BOUND = 8  # largest domain the brute-force oracles search
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +230,14 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
         group_maps.append(maps)
 
     auts = []
+    points = range(A.n)
     for combo in product(*group_maps):
         m = combo[0]
         if len(combo) > 1:
             m = {}
             for part in combo:
                 m.update(part)
-        auts.append(tuple(map(m.__getitem__, range(A.n))))
+        auts.append(tuple(map(m.__getitem__, points)))
     auts.sort()
     return auts
 

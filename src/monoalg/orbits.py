@@ -18,6 +18,12 @@ from . import iso
 from .core import FiniteMonounary, Skeleton
 from .iso import brute_force_automorphisms
 
+# the orbit walk limit: one orbit_profile walk counts tuples of at most
+# MAX_ORBIT_ARITY coordinates and takes at most MAX_ORBIT_LABELLINGS
+# labellings, each linear in n plus the arity
+MAX_ORBIT_ARITY = 32
+MAX_ORBIT_LABELLINGS = 10_000
+
 
 def _point_orbits(sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()) -> list[int]:
     """Orbit number of every element under the automorphisms fixing
@@ -45,18 +51,50 @@ def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
 
 
 def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
-    """Orbit counts of k-tuples (coordinates may repeat) for k = 1..up_to."""
+    """Orbit counts of k-tuples (coordinates may repeat) for k = 1..up_to.
+
+    Arity by arity, one labelling per orbit of the arity below marks one
+    representative per orbit of that tuple's stabilizer.  A stabilizer has
+    at least as many orbits as the whole group, so the representatives
+    found bound the labellings still to come from below; the walk fails
+    as soon as that bound exceeds MAX_ORBIT_LABELLINGS, before it does
+    them, and up_to may not exceed MAX_ORBIT_ARITY."""
     if up_to < 1:
         raise ValueError("arity must be positive")
+    if up_to > MAX_ORBIT_ARITY:
+        raise ValueError(f"orbit profile to arity {up_to} is over the orbit walk limit of arity {MAX_ORBIT_ARITY}")
     sk = Skeleton(A.table)
-    counts = [0] * up_to
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        xs = stack.pop()
-        reps = dict(zip(_point_orbits(sk, A.table, xs), range(A.n))).values()
-        counts[len(xs)] += len(reps)
-        if len(xs) + 1 < up_to:
-            stack.extend(xs + (x,) for x in reps)
+    points = range(A.n)
+    counts: list[int] = []
+    spent = 0
+
+    def reserve(tuples: int, arity: int) -> None:
+        """Fail unless labelling `tuples` tuples of arity - 1 coordinates,
+        and the walk on from them to arity up_to, fits in the limit."""
+        need = spent
+        for _ in range(arity, up_to + 1):
+            need += tuples
+            if need > MAX_ORBIT_LABELLINGS:
+                raise ValueError(
+                    f"orbit profile to arity {up_to} needs more than {MAX_ORBIT_LABELLINGS}"
+                    " labellings, the orbit walk limit"
+                )
+            tuples *= counts[0] if counts else 1
+
+    level: list[tuple[int, ...]] = [()]
+    for arity in range(1, up_to + 1):
+        reserve(len(level), arity)
+        spent += len(level)
+        found: list[tuple[int, ...]] = []
+        count = 0
+        for xs in level:
+            reps = dict(zip(_point_orbits(sk, A.table, xs), points)).values()
+            count += len(reps)
+            if arity < up_to:
+                found.extend(xs + (x,) for x in reps)
+                reserve(len(found), arity + 1)
+        counts.append(count)
+        level = found
     return counts
 
 

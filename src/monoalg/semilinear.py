@@ -64,7 +64,7 @@ def meet(P: InducedPoset, x: int, y: int) -> int:
 
 
 def check_aut_equality(
-    A: FiniteMonounary, c: int, bound: int = iso.DEFAULT_BOUND
+    A: FiniteMonounary, c: int, bound: int = core.DEFAULT_BOUND
 ) -> tuple[bool, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Automorphisms of the tree above c, once as a partial algebra (the
     oracles' filter iso.partial_iso_images) and once as an order (a

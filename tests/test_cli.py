@@ -1,14 +1,19 @@
-"""Command line behaviour: verbs, exit codes, JSON payload schemas."""
+"""Command line behaviour: verbs, exit codes, JSON payload schemas, and
+the modules each verb loads when run as a program."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import jsonschema
 import pytest
 
-from monoalg import schemas
+import monoalg
+from monoalg import orbits, schemas
 from monoalg.cli import main
-from monoalg.enumeration import MAX_POINTS
+from monoalg.core import MAX_POINTS
 
 
 def run(capsys, *argv):
@@ -62,6 +67,18 @@ def test_orbits_arity_must_be_positive(capsys):
     for n in ("0", "-3"):
         code, out, err = run(capsys, "orbits", "f: 0 0 0", "--n", n)
         assert code == 2 and not out and "arity must be positive" in err
+
+
+def test_orbit_walk_limit_exits_2_quickly(capsys):
+    for argv, limit in (
+        (["f: 0 0 0", "--n", "50"], f"limit of arity {orbits.MAX_ORBIT_ARITY}"),
+        (["random:1000:1", "--n", "3"], f"more than {orbits.MAX_ORBIT_LABELLINGS} labellings"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "orbits", *argv)
+        assert time.perf_counter() - start < 2
+        assert code == 2 and not out
+        assert f"arity {argv[-1]} " in err and limit in err and "orbit walk limit" in err
 
 
 def test_check_finite_properties(capsys):
@@ -279,3 +296,42 @@ def test_instantiate_size_is_capped(capsys):
     assert code == 2 and not out and "1000000" in err
     code, out, _ = run(capsys, "instantiate", "A[1;w]", "--w", "999999")
     assert code == 0 and out.startswith("f: 0 0")
+
+
+# one tiny call per verb, with the package modules besides monoalg and
+# monoalg.core that it reads
+VERB_CALLS = [
+    (["analyze", "f: 1 0 0", "--json"], set()),
+    (["iso", "f: 0 0 0", "f: 1 1 1", "--json"], {"iso"}),
+    (["aut", "f: 1 2 3 0", "--json"], {"iso"}),
+    (["orbits", "f: 0 0 0", "--n", "2", "--json"], {"iso", "orbits"}),
+    (["check", "uh", "f: 1 2 0", "--json"], {"homogeneity", "iso", "symbolic"}),
+    (["classify", "f: 1 0 0", "--json"], {"homogeneity", "iso", "symbolic"}),
+    (["decompose", "f: 1 2 0", "--json"], {"symbolic"}),
+    (["limit", "--k", "1", "--json"], {"symbolic"}),
+    (["instantiate", "A[1;2]", "--w", "1", "--json"], {"symbolic"}),
+    (["truncate", "A[2;1;2]", "--height", "1", "--json"], {"symbolic"}),
+    (["enumerate", "--n", "3"], {"enumeration", "iso", "orbits"}),
+    (["semilinear", "f: 0 0 0 1", "--root", "0", "--json"], {"iso", "semilinear"}),
+    (["export-dot", "f: 1 2 0"], set()),
+]
+_WITH_DATACLASSES = {"homogeneity", "semilinear", "symbolic"}
+
+
+@pytest.mark.parametrize("argv, modules", VERB_CALLS, ids=[argv[0] for argv, _ in VERB_CALLS])
+def test_verb_as_a_program_loads_only_what_it_reads(argv, modules):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monoalg.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "monoalg.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if argv[0] in schemas.BY_VERB:
+        jsonschema.validate(json.loads(proc.stdout), schemas.BY_VERB[argv[0]])
+    names = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    if "site" in names:  # what the interpreter loads at start-up is not the CLI's doing
+        names = names[names.index("site") + 1:]
+    package = {name for name in names if name.split(".")[0] == "monoalg"} - {"monoalg.cli"}
+    assert package == {"monoalg", "monoalg.core"} | {f"monoalg.{m}" for m in modules}
+    if not modules & _WITH_DATACLASSES:
+        assert "dataclasses" not in names

@@ -1,4 +1,8 @@
-"""Structure reports, substructures and serialization round trips."""
+"""Value semantics, structure reports, substructures and serialization
+round trips."""
+
+import copy
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +36,53 @@ def test_partial_allows_none_only():
     assert p.domain() == (1,)
     with pytest.raises(ValueError):
         validate_partial([None, 3, 0])
+
+
+def test_validation_errors_are_unchanged():
+    for cls, raw, message in [
+        (FiniteMonounary, (), "empty table"),
+        (PartialMonounary, (), "empty table"),
+        (FiniteMonounary, (True, 0), "entry 0 out of range: True"),
+        (PartialMonounary, (None, False), "entry 1 out of range: False"),
+        (FiniteMonounary, (0, 3, 1), "entry 1 out of range: 3"),
+        (PartialMonounary, (None, 2), "entry 1 out of range: 2"),
+        (FiniteMonounary, (0, None), "entry 1 out of range: None"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            cls(raw)
+        assert str(info.value) == message
+
+
+def test_value_semantics():
+    A, P = FiniteMonounary((0,)), PartialMonounary((0,))
+    assert A != P and P != A
+    assert FiniteMonounary((1, 0)) == validate([1, 0])
+    assert hash(FiniteMonounary((1, 0))) == hash(validate([1, 0]))
+    assert hash(PartialMonounary((None, 0))) == hash(validate_partial([None, 0]))
+    assert len({A, FiniteMonounary((0,)), P}) == 2
+    for target in (A, P):
+        with pytest.raises(AttributeError):
+            target.table = (0,)
+        with pytest.raises(AttributeError):
+            target.other = 1
+        with pytest.raises(AttributeError):
+            del target.table
+    assert A.table == (0,)
+    assert repr(A) == "FiniteMonounary(table=(0,))"
+    assert repr(P) == "PartialMonounary(table=(0,))"
+    assert pickle.loads(pickle.dumps(P)) == P and copy.copy(A) == A
+
+
+def test_random_algebra_is_seed_deterministic():
+    a = core.random_algebra(6, 123)
+    b = core.random_algebra(6, 123)
+    c = core.random_algebra(6, 124)
+    assert a == b
+    assert a.n == 6
+    assert isinstance(c, FiniteMonounary)
+    assert core.random_algebra(1, 0).table == (0,)
+    with pytest.raises(ValueError):
+        core.random_algebra(0, 1)
 
 
 def test_call_and_n():

@@ -6,8 +6,7 @@ import random
 
 import pytest
 
-from monoalg import enumeration
-from monoalg.core import FiniteMonounary
+from monoalg import core, enumeration
 from monoalg.iso import table_certificate
 from oracles import exists_iso, least_relabelling, polya_class_counts, sweep_corpus
 
@@ -65,19 +64,7 @@ def test_bounds():
     with pytest.raises(ValueError):
         enumeration.enumerate_up_to_iso(0)
     with pytest.raises(ValueError):
-        enumeration.enumerate_up_to_iso(enumeration.MAX_POINTS + 1)
-
-
-def test_random_algebra_is_seed_deterministic():
-    a = enumeration.random_algebra(6, 123)
-    b = enumeration.random_algebra(6, 123)
-    c = enumeration.random_algebra(6, 124)
-    assert a == b
-    assert a.n == 6
-    assert isinstance(c, FiniteMonounary)
-    assert enumeration.random_algebra(1, 0).table == (0,)
-    with pytest.raises(ValueError):
-        enumeration.random_algebra(0, 1)
+        enumeration.enumerate_up_to_iso(core.MAX_POINTS + 1)
 
 
 def test_corpus_save_load_round_trip(tmp_path, corpus):

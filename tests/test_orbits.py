@@ -49,6 +49,21 @@ def test_arity_must_be_positive():
         orbits.n_orbit_count_bruteforce(validate([0, 0, 0]), 2, cap=5)
 
 
+def test_walk_limit_is_checked_before_the_work():
+    top = orbits.MAX_ORBIT_ARITY
+    assert orbits.orbit_profile(validate([0]), top) == [1] * top
+    for k in (top + 1, 10**9):
+        with pytest.raises(ValueError, match=f"arity {k} is over the orbit walk limit of arity {top}"):
+            orbits.orbit_profile(validate([0]), k)
+    # a loop with one leaf is rigid: 2^k orbits of k-tuples, 2^k - 1
+    # labellings to arity k, so arity 13 fits the limit and 14 does not
+    rigid = validate([0, 0])
+    assert orbits.MAX_ORBIT_LABELLINGS == 10_000
+    assert orbits.orbit_profile(rigid, 13) == [2**k for k in range(1, 14)]
+    with pytest.raises(ValueError, match="arity 14 needs more than 10000 labellings, the orbit walk limit"):
+        orbits.orbit_profile(rigid, 14)
+
+
 def test_labels_respect_coordinate_permutation_symmetry():
     A = validate([0, 0, 0])
     lab = iso.marked_certificate
