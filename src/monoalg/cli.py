@@ -27,8 +27,9 @@ Each verb imports only the modules it reads, so a call pays only for
 the code it runs; the parser reads its limits from core.  Work is
 bounded by stated limits: random:N and instantiate build at most 10^6
 points, aut lists at most iso.DEFAULT_AUT_CAP automorphisms, orbits
-walks at most orbits.MAX_ORBIT_ARITY coordinates and
-orbits.MAX_ORBIT_LABELLINGS labellings, and enumerate goes up to
+walks at most orbits.MAX_ORBIT_ARITY coordinates,
+orbits.MAX_ORBIT_LABELLINGS labellings and orbits.MAX_ORBIT_POINTS
+(10^7) labelled points (labellings times n), and enumerate goes up to
 core.MAX_POINTS points.
 """
 

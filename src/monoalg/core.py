@@ -19,13 +19,48 @@ DEFAULT_BOUND = 8  # largest domain the brute-force oracles search
 MAX_POINTS = 12  # largest n that enumeration builds every class for (57903 classes)
 
 
-class _Monounary:
-    """A value table checked once: entry i is f(i), an int in range(n)
-    that is not a bool, or None where undefined when the class allows it.
-    Instances are immutable, equal when their type and table are, and
-    hash and print like frozen records."""
+class _Record:
+    """Immutable value record over the fields named in _fields, each
+    class's own __slots__: equal to records of its own class with equal
+    fields, hashed, printed and pickled by its fields, like a frozen
+    dataclass."""
 
-    __slots__ = ("table",)
+    __slots__ = _fields = ()
+
+    def __init__(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class _Monounary(_Record):
+    """A value table checked once: entry i is f(i), an int in range(n)
+    that is not a bool, or None where undefined when the class allows it."""
+
+    __slots__ = _fields = ("table",)
     _undefined_ok = False
 
     def __init__(self, table: tuple) -> None:
@@ -37,31 +72,14 @@ class _Monounary:
                 if v is None and self._undefined_ok:
                     continue
                 raise ValueError(f"entry {i} out of range: {v!r}")
-        object.__setattr__(self, "table", table)
+        super().__init__(table)
+
+    def _values(self) -> tuple:
+        return (self.table,)  # the one field, without the generic lookup
 
     @property
     def n(self) -> int:
         return len(self.table)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.table == other.table
-
-    def __hash__(self) -> int:
-        return hash((self.table,))
-
-    def __repr__(self) -> str:
-        return f"{self.__class__.__qualname__}(table={self.table!r})"
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: {self.__class__.__name__} is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
-
-    def __reduce__(self):
-        return self.__class__, (self.table,)
 
 
 class FiniteMonounary(_Monounary):
@@ -121,7 +139,8 @@ class Skeleton:
     cycles  each in operation order from its least element, sorted by it
     height  least k with f^k(x) cyclic
     comp    index into `cycles` of the component of x
-    height and comp are read off the reversed levels on first use only.
+    height and comp are filled together, in one walk down the reversed
+    levels, when either is first read.
     """
 
     def __init__(self, table: Sequence[int]):
@@ -166,22 +185,29 @@ class Skeleton:
 
     @cached_property
     def height(self) -> list[int]:
-        table = self.table
-        h = [0] * len(table)
-        for x in self.parents_first():
-            h[x] = h[table[x]] + 1
-        return h
+        return self._height_and_comp()[0]
 
     @cached_property
     def comp(self) -> list[int]:
-        table = self.table
+        return self._height_and_comp()[1]
+
+    def _height_and_comp(self) -> tuple[list[int], list[int]]:
+        """Both height and comp in one walk down the reversed levels,
+        cached together whichever is read first."""
+        table, cyclic = self.table, self.cyclic
+        h = [0] * len(table)
         c = [0] * len(table)
         for i, cycle in enumerate(self.cycles):
             for x in cycle:
                 c[x] = i
-        for x in self.parents_first():
-            c[x] = c[table[x]]
-        return c
+        for level in reversed(self.levels):
+            for x in level:
+                if not cyclic[x]:
+                    y = table[x]
+                    h[x] = h[y] + 1
+                    c[x] = c[y]
+        self.__dict__.update(height=h, comp=c)
+        return h, c
 
     def children(self) -> list[list[int]]:
         """Per element, its acyclic preimages in ascending order."""

@@ -26,9 +26,8 @@ multi-operation check.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import core, iso, symbolic
 from .core import FiniteMonounary, PartialMonounary
@@ -146,8 +145,7 @@ def is_partially_homogeneous_oracle(
 # ---------------------------------------------------------------------------
 # the lattice of conditions
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(NamedTuple):
     """Membership in the eight conditions, from transitivity up to
     1-homogeneity.  h is decided as uh: finite algebras are locally
     finite, where homogeneous and ultrahomogeneous coincide."""
@@ -162,7 +160,7 @@ class LatticeReport:
     h1: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
     def implications_hold(self) -> bool:
         # transitive -> ph1 only: a bare 5-cycle is transitive yet fails ph2

@@ -3,13 +3,19 @@
 Every element gets an integer label for the isomorphism type of the tree
 hanging above it (Aho, Hopcroft & Ullman's tree labelling): level by
 level of the skeleton, the distinct sorted tuples of child labels are
-sorted and numbered on from the previous level.  A certificate is a flat
-pair of int tuples: the child-label tuples in label order, which fixes
-what every label means, and the sorted cycle label sequences, each at its
-least rotation.  Two algebras have equal certificates iff they are
-isomorphic; certificates are compared for equality only, never ordered
-or looked into.  Marked variants seed the child list of a marked element
-xs[i] with -1 - i, which makes certificate equality of marked algebras
+sorted and numbered on from the previous level.  No child list is ever
+sorted: labels grow from level to level, and each level hands its labels
+out in order, appending each to its parent's list, so every list is
+already its sorted key.  A certificate is a flat pair of int tuples: the
+child-label tuples in label order, which fixes what every label means,
+and the sorted cycle label sequences, each at its least rotation.  Two
+algebras have equal certificates iff they are isomorphic; certificates
+are compared for equality only, never ordered or looked into.
+are_isomorphic first compares what the two skeletons carry, the level
+sizes and the sorted cycle lengths, and labels only when these agree.
+Marked variants seed the child list of a marked element xs[i] with
+-1 - i, last mark first so that a point marked twice keeps its list
+ascending, which makes certificate equality of marked algebras
 equivalent to the existence of an isomorphism matching the marks.
 """
 
@@ -62,28 +68,37 @@ def label(
     rotation and that rotation's (offset, period), both aligned with
     sk.cycles, and the certificate, with xs[i] marked by -1 - i."""
     kid_labels: list[list[int]] = [[] for _ in table]
-    for i, x in enumerate(xs):
-        kid_labels[x].append(-1 - i)
+    for i in range(len(xs) - 1, -1, -1):  # last first: a repeated mark's list ascends
+        kid_labels[xs[i]].append(-1 - i)
     labels = [0] * len(table)
     entries: list[tuple[int, ...]] = []
     cyclic = sk.cyclic
     for level in sk.levels:
-        keys = list(map(tuple, map(sorted, map(kid_labels.__getitem__, level))))
         base = len(entries)
-        distinct = set(keys)
-        if len(distinct) == 1:
-            entries.append(keys[0])
-            for x in level:
-                labels[x] = base
-                if not cyclic[x]:
-                    kid_labels[table[x]].append(base)
-            continue
-        entries += sorted(distinct)
-        ids = dict(zip(entries[base:], range(base, len(entries))))
-        for x, key in zip(level, keys):
-            lab = labels[x] = ids[key]
+        if len(level) == 1:  # a path's levels: nothing to group or sort
+            x = level[0]
+            entries.append(tuple(kid_labels[x]))
+            labels[x] = base
             if not cyclic[x]:
-                kid_labels[table[x]].append(lab)
+                kid_labels[table[x]].append(base)
+            continue
+        # labels only grow from level to level and each level hands its
+        # labels out in order, so every child list is already its sorted key
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for x in level:
+            key = tuple(kid_labels[x])
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [x]
+            else:
+                group.append(x)
+        keys = sorted(groups)
+        for lab, key in enumerate(keys, base):
+            for x in groups[key]:
+                labels[x] = lab
+                if not cyclic[x]:
+                    kid_labels[table[x]].append(lab)
+        entries += keys
     seqs, rots = [], []
     for cycle in sk.cycles:
         seq = list(map(labels.__getitem__, cycle))
@@ -111,7 +126,17 @@ def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
 
 
 def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
-    return A.n == B.n and table_certificate(A.table) == table_certificate(B.table)
+    """Equal certificates, labelled only when the skeletons agree on the
+    invariants they carry: the size of every level and the sorted cycle
+    lengths."""
+    if A.n != B.n:
+        return False
+    ska, skb = Skeleton(A.table), Skeleton(B.table)
+    if list(map(len, ska.levels)) != list(map(len, skb.levels)):
+        return False
+    if sorted(map(len, ska.cycles)) != sorted(map(len, skb.cycles)):
+        return False
+    return label(ska, A.table)[3] == label(skb, B.table)[3]
 
 
 # ---------------------------------------------------------------------------

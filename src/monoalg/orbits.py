@@ -20,9 +20,12 @@ from .iso import brute_force_automorphisms
 
 # the orbit walk limit: one orbit_profile walk counts tuples of at most
 # MAX_ORBIT_ARITY coordinates and takes at most MAX_ORBIT_LABELLINGS
-# labellings, each linear in n plus the arity
+# labellings, each linear in n plus the arity, of at most
+# MAX_ORBIT_POINTS points in all (labellings times n; about 0.75 us a
+# point with CPython 3.11 on a 2-core host)
 MAX_ORBIT_ARITY = 32
 MAX_ORBIT_LABELLINGS = 10_000
+MAX_ORBIT_POINTS = 10_000_000
 
 
 def _point_orbits(sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()) -> list[int]:
@@ -57,20 +60,20 @@ def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
     representative per orbit of that tuple's stabilizer.  A stabilizer has
     at least as many orbits as the whole group, so the representatives
     found bound the labellings still to come from below; the walk fails
-    as soon as that bound exceeds MAX_ORBIT_LABELLINGS, before it does
-    them, and up_to may not exceed MAX_ORBIT_ARITY."""
+    as soon as that bound exceeds MAX_ORBIT_LABELLINGS, or the bound
+    times n exceeds MAX_ORBIT_POINTS, before it does them, and up_to may
+    not exceed MAX_ORBIT_ARITY."""
     if up_to < 1:
         raise ValueError("arity must be positive")
     if up_to > MAX_ORBIT_ARITY:
         raise ValueError(f"orbit profile to arity {up_to} is over the orbit walk limit of arity {MAX_ORBIT_ARITY}")
-    sk = Skeleton(A.table)
     points = range(A.n)
     counts: list[int] = []
     spent = 0
 
     def reserve(tuples: int, arity: int) -> None:
         """Fail unless labelling `tuples` tuples of arity - 1 coordinates,
-        and the walk on from them to arity up_to, fits in the limit."""
+        and the walk on from them to arity up_to, fits in both limits."""
         need = spent
         for _ in range(arity, up_to + 1):
             need += tuples
@@ -79,8 +82,15 @@ def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
                     f"orbit profile to arity {up_to} needs more than {MAX_ORBIT_LABELLINGS}"
                     " labellings, the orbit walk limit"
                 )
+            if need * A.n > MAX_ORBIT_POINTS:
+                raise ValueError(
+                    f"orbit profile to arity {up_to} needs more than {MAX_ORBIT_POINTS} labelled points"
+                    f" ({A.n} points a labelling), the orbit walk limit"
+                )
             tuples *= counts[0] if counts else 1
 
+    reserve(1, 1)  # at least one labelling per arity, checked before the skeleton is built
+    sk = Skeleton(A.table)
     level: list[tuple[int, ...]] = [()]
     for arity in range(1, up_to + 1):
         reserve(len(level), arity)

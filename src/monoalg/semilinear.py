@@ -10,16 +10,14 @@ that on concrete inputs with two independent brute-force filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from . import core, iso
 from .core import FiniteMonounary
 
 
-@dataclass(frozen=True)
-class InducedPoset:
+class InducedPoset(NamedTuple):
     """Reflexive order pairs (a, b) meaning a <= b, on original labels."""
 
     elements: tuple[int, ...]

@@ -22,25 +22,44 @@ algebras; they print but do not parse.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 from . import core
-from .core import FiniteMonounary
+from .core import FiniteMonounary, _Record
 
 
 # ---------------------------------------------------------------------------
 # cardinals
 
-@dataclass(frozen=True)
-class Cardinal:
-    """Natural number or the top value w (encoded as None)."""
+_value = itemgetter(0)  # a Cardinal's value, read in C
 
-    value: Optional[int]
 
-    def __post_init__(self) -> None:
-        if self.value is not None and (not isinstance(self.value, int) or self.value < 0):
-            raise ValueError(f"bad cardinal: {self.value!r}")
+class Cardinal(tuple):
+    """Natural number or the top value w (encoded as None).
+
+    A one-entry tuple underneath, so that hashing one, or a profile's
+    tuple of them, runs in C; equal only to Cardinals."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: Optional[int]) -> "Cardinal":
+        if value is not None and (not isinstance(value, int) or value < 0):
+            raise ValueError(f"bad cardinal: {value!r}")
+        return tuple.__new__(cls, (value,))
+
+    value = property(_value)  # the number, or None for w
+    __hash__ = tuple.__hash__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            # a plain tuple would otherwise compare equal through tuple.__eq__
+            return False if isinstance(other, tuple) else NotImplemented
+        return self[0] == other[0]
+
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     @property
     def is_omega(self) -> bool:
@@ -60,6 +79,12 @@ class Cardinal:
     def __lt__(self, other: "Cardinal") -> bool:
         return self.key() < other.key()
 
+    def __ge__(self, other: "Cardinal") -> bool:
+        return other.__le__(self)
+
+    def __gt__(self, other: "Cardinal") -> bool:
+        return other.__lt__(self)
+
     def __add__(self, other: "Cardinal") -> "Cardinal":
         if self.is_omega or other.is_omega:
             return OMEGA
@@ -67,16 +92,26 @@ class Cardinal:
 
     def __mul__(self, other: "Cardinal") -> "Cardinal":
         if (self.value == 0) or (other.value == 0):
-            return Cardinal(0)
+            return ZERO
         if self.is_omega or other.is_omega:
             return OMEGA
         return Cardinal(self.value * other.value)
 
+    def __rmul__(self, other: object) -> object:
+        return NotImplemented  # no tuple repetition
+
+    def __repr__(self) -> str:
+        return f"{self.__class__.__qualname__}(value={self.value!r})"
+
     def __str__(self) -> str:
         return "w" if self.value is None else str(self.value)
 
+    def __reduce__(self):
+        return self.__class__, (self.value,)
+
 
 OMEGA = Cardinal(None)
+ZERO = Cardinal(0)
 ONE = Cardinal(1)
 
 
@@ -93,27 +128,30 @@ def card(x: Union[int, str, Cardinal]) -> Cardinal:
 # ---------------------------------------------------------------------------
 # descriptors
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(_Record):
     """Cycle of length `cycle` with level-uniform trees; see module doc."""
 
+    __slots__ = _fields = ("cycle", "prefix", "tail")
     cycle: int
-    prefix: tuple[Cardinal, ...] = ()
-    tail: Optional[Cardinal] = None
+    prefix: tuple[Cardinal, ...]
+    tail: Optional[Cardinal]
 
-    def __post_init__(self) -> None:
-        if self.cycle < 1:
+    def __init__(
+        self,
+        cycle: int,
+        prefix: Iterable[Union[int, str, Cardinal]] = (),
+        tail: Union[int, str, Cardinal, None] = None,
+    ) -> None:
+        if cycle < 1:
             raise ValueError("cycle length must be positive")
-        prefix = tuple(card(e) for e in self.prefix)
-        tail = card(self.tail) if self.tail is not None else None
-        zero = Cardinal(0)
-        if any(e == zero for e in prefix) or tail == zero:
+        prefix = tuple(map(card, prefix))
+        tail = card(tail) if tail is not None else None
+        if 0 in map(_value, prefix) or tail == ZERO:
             raise ValueError("level cardinals must be nonzero")
         if tail is not None:
             while prefix and prefix[-1] == tail:
                 prefix = prefix[:-1]
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "tail", tail)
+        super().__init__(cycle, prefix, tail)
 
     @property
     def height(self) -> Optional[int]:
@@ -128,20 +166,19 @@ class Profile:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Bee:
+class Bee(_Record):
+    __slots__ = _fields = ("alpha",)
     alpha: Cardinal
 
-    def __post_init__(self) -> None:
-        a = card(self.alpha)
-        if a == Cardinal(0):
+    def __init__(self, alpha: Union[int, str, Cardinal]) -> None:
+        a = card(alpha)
+        if a == ZERO:
             raise ValueError("branching cardinal must be nonzero")
-        object.__setattr__(self, "alpha", a)
+        super().__init__(a)
 
 
-@dataclass(frozen=True)
-class NSucc:
-    pass
+class NSucc(_Record):
+    __slots__ = ()
 
 
 NSUCC = NSucc()
@@ -151,20 +188,25 @@ Descriptor = Union[Profile, Bee, NSucc]
 
 def _desc_key(d: Descriptor):
     if isinstance(d, Profile):
+        # the prefix orders as its Cardinals do, compared only as far as
+        # two prefixes agree
         tail_key = (0, 0) if d.tail is None else d.tail.key()
-        return (0, d.cycle, 0 if d.tail is None else 1, tuple(e.key() for e in d.prefix), tail_key)
+        return (0, d.cycle, 0 if d.tail is None else 1, d.prefix, tail_key)
     if isinstance(d, Bee):
         return (1, d.alpha.key(), 0, (), (0, 0))
     return (2, 0, 0, (), (0, 0))
 
 
-@dataclass(frozen=True)
-class CycleFamily:
+class CycleFamily(_Record):
     """One profile shape per cycle length, over every length at once."""
 
+    __slots__ = _fields = ("multiplicity", "prefix", "tail")
     multiplicity: Cardinal
     prefix: tuple[Cardinal, ...]
     tail: Optional[Cardinal]
+
+    def __init__(self, multiplicity: Cardinal, prefix: tuple[Cardinal, ...], tail: Optional[Cardinal]) -> None:
+        super().__init__(multiplicity, prefix, tail)
 
     def member(self, n: int) -> Profile:
         return Profile(n, self.prefix, self.tail)
@@ -175,10 +217,15 @@ class CycleFamily:
         return f"sum_(n>=1) {self.multiplicity}*{body}"
 
 
-@dataclass(frozen=True)
-class SymbolicAlgebra:
+class SymbolicAlgebra(_Record):
+    __slots__ = _fields = ("components", "families")
     components: tuple[tuple[Cardinal, Descriptor], ...]
-    families: tuple[CycleFamily, ...] = ()
+    families: tuple[CycleFamily, ...]
+
+    def __init__(
+        self, components: tuple[tuple[Cardinal, Descriptor], ...], families: tuple[CycleFamily, ...] = ()
+    ) -> None:
+        super().__init__(components, families)
 
     def __str__(self) -> str:
         return show(self)
@@ -194,7 +241,7 @@ def symbolic(
     order: list[Descriptor] = []
     for mult, desc in components:
         m = card(mult)
-        if m == Cardinal(0):
+        if m == ZERO:
             raise ValueError("zero multiplicity")
         if desc in merged:
             merged[desc] = merged[desc] + m
@@ -356,7 +403,7 @@ def o1(S: SymbolicAlgebra) -> Cardinal:
     profiles, 1 for B[a], w for tailed profiles and N."""
     if S.families:
         return OMEGA
-    total = Cardinal(0)
+    total = ZERO
     for _, d in S.components:
         if isinstance(d, Profile):
             total = total + (OMEGA if d.tail is not None else Cardinal(len(d.prefix) + 1))

@@ -81,6 +81,14 @@ def test_orbit_walk_limit_exits_2_quickly(capsys):
         assert f"arity {argv[-1]} " in err and limit in err and "orbit walk limit" in err
 
 
+def test_orbit_walk_on_many_points_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orbits", "random:5000:1", "--n", "2")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and not out
+    assert f"arity 2 needs more than {orbits.MAX_ORBIT_POINTS} labelled points" in err and "orbit walk limit" in err
+
+
 def test_check_finite_properties(capsys):
     assert run(capsys, "check", "uh", "f: 1 2 0")[0] == 0
     assert run(capsys, "check", "uh", "f: 1 0 0")[0] == 1
@@ -315,7 +323,6 @@ VERB_CALLS = [
     (["semilinear", "f: 0 0 0 1", "--root", "0", "--json"], {"iso", "semilinear"}),
     (["export-dot", "f: 1 2 0"], set()),
 ]
-_WITH_DATACLASSES = {"homogeneity", "semilinear", "symbolic"}
 
 
 @pytest.mark.parametrize("argv, modules", VERB_CALLS, ids=[argv[0] for argv, _ in VERB_CALLS])
@@ -333,5 +340,4 @@ def test_verb_as_a_program_loads_only_what_it_reads(argv, modules):
         names = names[names.index("site") + 1:]
     package = {name for name in names if name.split(".")[0] == "monoalg"} - {"monoalg.cli"}
     assert package == {"monoalg", "monoalg.core"} | {f"monoalg.{m}" for m in modules}
-    if not modules & _WITH_DATACLASSES:
-        assert "dataclasses" not in names
+    assert "dataclasses" not in names

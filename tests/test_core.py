@@ -6,15 +6,17 @@ import pickle
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from monoalg import core
 from monoalg.core import (
     FiniteMonounary,
     PartialMonounary,
+    Skeleton,
     validate,
     validate_partial,
 )
-from oracles import tables
+from oracles import symmetric_tables, tables
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +203,32 @@ def test_structural_invariants(tab):
         assert core.generated(A, gens) == frozenset(range(A.n))
         for g in gens:
             assert core.generated(A, gens - {g}) != frozenset(range(A.n))
+
+
+@given(tables(max_n=9) | symmetric_tables(8, 60), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
+    """Walk f from x until it reaches a cycle: the steps are the height,
+    and the cycle reached, as an index into sk.cycles, is comp; the same
+    whichever of the two is read first."""
+    n = len(tab)
+    on_cycle = set()
+    for x in range(n):  # n steps from any point land on its cycle
+        for _ in range(n):
+            x = tab[x]
+        on_cycle.add(x)
+    sk = Skeleton(tab)
+    index = {c: i for i, cycle in enumerate(sk.cycles) for c in cycle}
+    if height_first:
+        height, comp = sk.height, sk.comp
+    else:
+        comp, height = sk.comp, sk.height
+    assert sorted(index) == sorted(on_cycle)
+    for x in range(n):
+        k, y = 0, x
+        while y not in on_cycle:
+            k, y = k + 1, tab[y]
+        assert (height[x], comp[x]) == (k, index[y])
 
 
 @given(tables())

@@ -1,6 +1,8 @@
 """Homogeneity deciders against exhaustive oracles, plus the witnesses
 separating the eight conditions of the lattice."""
 
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -121,6 +123,16 @@ def test_uh_equals_1uh_on_totals(tab):
 @settings(max_examples=40, deadline=None)
 def test_lattice_implications(tab):
     assert hom.classify_lattice(FiniteMonounary(tab)).implications_hold()
+
+
+def test_lattice_report_is_a_record():
+    r = hom.classify_lattice(validate([1, 0, 0]))
+    assert list(r.to_dict()) == ["transitive", "ph1", "ph2", "ph", "uh", "h", "h2", "h1"]
+    assert r.to_dict()["uh"] is r.uh is False
+    assert pickle.loads(pickle.dumps(r)) == r and hash(copy.copy(r)) == hash(r)
+    assert repr(r).startswith("LatticeReport(transitive=False, ph1=")
+    with pytest.raises(AttributeError):
+        r.uh = True
 
 
 def test_bounds_and_arity_errors():

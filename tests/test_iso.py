@@ -2,15 +2,15 @@
 cross-checked against permutation brute force."""
 
 import random
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from monoalg import iso, symbolic
-from monoalg.core import FiniteMonounary, validate
-from oracles import exists_iso, inverse, iso_bijections, partial_iso_images, tables
+from monoalg.core import FiniteMonounary, Skeleton, validate
+from oracles import exists_iso, inverse, iso_bijections, partial_iso_images, symmetric_tables, tables
 
 
 def test_known_pairs():
@@ -39,6 +39,60 @@ def test_certificate_is_relabelling_invariant(tab, rnd):
     rnd.shuffle(p)
     relabelled = tuple(p[tab[q]] for q in inverse(p))
     assert iso.table_certificate(tab) == iso.table_certificate(relabelled)
+
+
+def test_are_isomorphic_where_the_skeletons_agree():
+    """Every table on n <= 5 points, and 3000 random ones on 6, against
+    the first table with the same level sizes and sorted cycle lengths:
+    the skeletons cannot tell these apart, so the labels decide."""
+    rng = random.Random(8)
+    undecided = 0
+    for n in range(1, 7):
+        if n <= 5:
+            tabs = product(range(n), repeat=n)
+        else:
+            tabs = (tuple(rng.randrange(n) for _ in range(n)) for _ in range(3000))
+        first = {}
+        for t in tabs:
+            sk = Skeleton(t)
+            u = first.setdefault((tuple(map(len, sk.levels)), tuple(sorted(map(len, sk.cycles)))), t)
+            same = exists_iso(u, t)
+            assert iso.are_isomorphic(FiniteMonounary(u), FiniteMonounary(t)) == same, (u, t)
+            undecided += not same
+    assert undecided > 1000
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(*[st.integers(0, n - 1)] * n) | st.just((0,) * n)), st.data())
+@settings(max_examples=150, deadline=None)
+def test_are_isomorphic_matches_bijection_search(t1, data):
+    """Pairs of equal size: a relabelled copy, a copy with one entry
+    changed, or any table."""
+    n = len(t1)
+    p = data.draw(st.permutations(range(n)))
+    relabelled = tuple(p[t1[q]] for q in inverse(p))
+    x, v = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    changed = relabelled[:x] + (v,) + relabelled[x + 1:]
+    t2 = data.draw(st.sampled_from([relabelled, changed]) | st.tuples(*[st.integers(0, n - 1)] * n))
+    assert iso.are_isomorphic(FiniteMonounary(t1), FiniteMonounary(t2)) == exists_iso(t1, t2)
+
+
+@given(symmetric_tables(8, 200), st.data())
+@settings(max_examples=60, deadline=None)
+def test_repeated_marks_follow_a_relabelling(tab, data):
+    """Marks may repeat, as orbit_profile's tuples do; the marked
+    certificate is the same after relabelling the points and the marks
+    along with them."""
+    n = len(tab)
+    A = FiniteMonounary(tab)
+    xs = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    xs += data.draw(st.lists(st.sampled_from(xs), min_size=1, max_size=3))
+    xs = data.draw(st.permutations(xs))
+    p = data.draw(st.permutations(range(n)))
+    B = FiniteMonounary(tuple(p[tab[q]] for q in inverse(p)))
+    cert = iso.marked_certificate(A, xs)
+    assert cert == iso.marked_certificate(B, [p[x] for x in xs])
+    # each entry is a sorted child-label tuple, marks included
+    assert all(list(entry) == sorted(entry) for entry in cert[0])
 
 
 def test_marked_certificates_track_positions():

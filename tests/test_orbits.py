@@ -2,11 +2,13 @@
 force, and at sizes the brute force cannot reach against marked
 certificates and automorphism extension."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monoalg import iso, orbits, symbolic
+from monoalg import core, iso, orbits, symbolic
 from monoalg.core import FiniteMonounary, validate
 from monoalg.iso import brute_force_automorphisms
 from monoalg.symbolic import Cardinal
@@ -62,6 +64,24 @@ def test_walk_limit_is_checked_before_the_work():
     assert orbits.orbit_profile(rigid, 13) == [2**k for k in range(1, 14)]
     with pytest.raises(ValueError, match="arity 14 needs more than 10000 labellings, the orbit walk limit"):
         orbits.orbit_profile(rigid, 14)
+
+
+def test_walk_limit_counts_labelled_points(monkeypatch):
+    assert orbits.MAX_ORBIT_POINTS == 10_000_000
+    # one labelling of all 400 000 points per arity at least: refused
+    # before the skeleton is built
+    with monkeypatch.context() as m:
+        m.setattr(orbits, "Skeleton", None)
+        with pytest.raises(ValueError, match="arity 32 needs more than 10000000 labelled points"):
+            orbits.orbit_profile(validate([0] * 400_000), 32)
+    # 1 + 4615 labellings of 5000 points to arity 2, refused after the first
+    start = time.perf_counter()
+    A = core.random_algebra(5000, 1)
+    message = r"arity 2 needs more than 10000000 labelled points \(5000 points a labelling\)"
+    with pytest.raises(ValueError, match=message):
+        orbits.orbit_profile(A, 2)
+    assert time.perf_counter() - start < 2
+    assert orbits.orbit_profile(A, 1) == [4615]
 
 
 def test_labels_respect_coordinate_permutation_symmetry():

@@ -1,6 +1,9 @@
 """Symbolic shape calculus: syntax, normalization, deciders, limits,
 instantiation and decomposition."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -48,6 +51,39 @@ def test_card_coercion():
     assert card(OMEGA) == OMEGA
     with pytest.raises(ValueError):
         Cardinal(-1)
+
+
+def test_records_keep_their_value_semantics():
+    shape = parse("2*A[3;w,2] + B[w] + N")
+    family = fraisse_limit(2).families[0]
+    for r in (Cardinal(3), OMEGA, Profile(3, (OMEGA, 2)), Bee(OMEGA), NSUCC, shape, family, fraisse_limit(2)):
+        for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert twin == r and hash(twin) == hash(r) and type(twin) is type(r)
+    # equal within one type only, hashed by their fields
+    assert Cardinal(3) != (3,) and (3,) != Cardinal(3) and Cardinal(3) != 3
+    assert Profile(1) != Bee(1) and Bee(1) != Profile(1)
+    assert hash(Cardinal(3)) == hash((3,)) and hash(NSUCC) == hash(())
+    assert hash(Profile(3, (2,))) == hash((3, (Cardinal(2),), None))
+    assert repr(Profile(3, (OMEGA,), 2)) == (
+        "Profile(cycle=3, prefix=(Cardinal(value=None),), tail=Cardinal(value=2))"
+    )
+    assert repr(Bee(1)) == "Bee(alpha=Cardinal(value=1))" and repr(NSUCC) == "NSucc()"
+    assert repr(parse("Z2")) == (
+        "SymbolicAlgebra(components=((Cardinal(value=1), Profile(cycle=2, prefix=(), tail=None)),), families=())"
+    )
+    assert repr(family) == (
+        "CycleFamily(multiplicity=Cardinal(value=None), prefix=(Cardinal(value=1),), tail=Cardinal(value=2))"
+    )
+    named = ((Cardinal(3), "value"), (Profile(2), "cycle"), (Bee(1), "alpha"), (shape, "families"), (NSUCC, "x"))
+    for r, name in named:
+        with pytest.raises(AttributeError):
+            setattr(r, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(r, name)
+    # a Cardinal is no sequence to repeat, and orders by value with w on top
+    with pytest.raises(TypeError):
+        2 * Cardinal(3)
+    assert Cardinal(3) > Cardinal(2) and OMEGA >= Cardinal(3) and not Cardinal(2) > OMEGA
 
 
 # ---------------------------------------------------------------------------
