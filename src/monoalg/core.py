@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import product
+from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 # stated limits, kept here so that building the CLI's parser reads them
@@ -26,24 +27,34 @@ class _Record:
     dataclass."""
 
     __slots__ = _fields = ()
+    _values = property(lambda self: ())  # the field tuple; one reader per class
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if len(cls._fields) > 1:
+            cls._values = property(attrgetter(*cls._fields))
+        elif cls._fields:
+            one = attrgetter(*cls._fields)
+            cls._values = property(lambda self: (one(self),))
 
     def __init__(self, *values: object) -> None:
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{self.__class__.__name__} takes {len(self._fields)} values, got {len(values)}"
+            )
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
-
-    def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self._fields))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values == other._values
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values)
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -53,7 +64,7 @@ class _Record:
         raise AttributeError(f"cannot delete {name!r}: {self.__class__.__name__} is immutable")
 
     def __reduce__(self):
-        return self.__class__, self._values()
+        return self.__class__, self._values
 
 
 class _Monounary(_Record):
@@ -73,9 +84,6 @@ class _Monounary(_Record):
                     continue
                 raise ValueError(f"entry {i} out of range: {v!r}")
         super().__init__(table)
-
-    def _values(self) -> tuple:
-        return (self.table,)  # the one field, without the generic lookup
 
     @property
     def n(self) -> int:

@@ -89,11 +89,10 @@ def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
                 )
             tuples *= counts[0] if counts else 1
 
-    reserve(1, 1)  # at least one labelling per arity, checked before the skeleton is built
-    sk = Skeleton(A.table)
     level: list[tuple[int, ...]] = [()]
+    reserve(1, 1)  # checked before the skeleton is built
+    sk = Skeleton(A.table)
     for arity in range(1, up_to + 1):
-        reserve(len(level), arity)
         spent += len(level)
         found: list[tuple[int, ...]] = []
         count = 0
@@ -105,6 +104,7 @@ def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
                 reserve(len(found), arity + 1)
         counts.append(count)
         level = found
+        reserve(len(level), arity + 1)
     return counts
 
 

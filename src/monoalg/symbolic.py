@@ -589,13 +589,15 @@ def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
                 f"not ultrahomogeneous: level {k} has non-uniform preimage counts {sorted(found)}"
             )
         top[key[0]] = max(top[key[0]], key[1])
-    by_cycle: dict[int, Profile] = {}
-    entries = []
+    # one profile per cycle size, counted: components with one cycle size
+    # must have the same level counts
+    levels: dict[int, tuple[int, ...]] = {}
+    copies: dict[int, int] = {}
     for c, cycle in enumerate(sk.cycles):
-        profile = Profile(len(cycle), tuple(Cardinal(counts[c, k]) for k in range(top[c])))
-        if by_cycle.setdefault(len(cycle), profile) != profile:
+        shape = tuple(counts[c, k] for k in range(top[c]))
+        if levels.setdefault(len(cycle), shape) != shape:
             raise NotUltrahomogeneous(
                 f"not ultrahomogeneous: components with cycle size {len(cycle)} are not isomorphic"
             )
-        entries.append((ONE, profile))
-    return symbolic(entries)
+        copies[len(cycle)] = copies.get(len(cycle), 0) + 1
+    return symbolic((Cardinal(m), Profile(size, levels[size])) for size, m in copies.items())

@@ -73,6 +73,17 @@ def test_value_semantics():
     assert repr(A) == "FiniteMonounary(table=(0,))"
     assert repr(P) == "PartialMonounary(table=(0,))"
     assert pickle.loads(pickle.dumps(P)) == P and copy.copy(A) == A
+    assert hash(A) == hash(((0,),))  # the field tuple's hash, as a frozen dataclass's
+
+
+def test_records_take_exactly_their_fields():
+    class Pair(core._Record):
+        __slots__ = _fields = ("left", "right")
+
+    assert Pair(1, 2) == Pair(1, 2) != Pair(2, 1) and hash(Pair(1, 2)) == hash((1, 2))
+    for values in ((1,), (1, 2, 3)):
+        with pytest.raises(TypeError, match=f"Pair takes 2 values, got {len(values)}"):
+            Pair(*values)
 
 
 def test_random_algebra_is_seed_deterministic():

@@ -66,6 +66,20 @@ def test_walk_limit_is_checked_before_the_work():
         orbits.orbit_profile(rigid, 14)
 
 
+def test_walk_limit_is_checked_between_arities(monkeypatch):
+    # a 100-point path is rigid, 100 orbits of points, so arity 3 needs
+    # 1 + 100 + 100^2 labellings: refused after the first, before arity 2
+    path = validate([0] + list(range(99)))
+    calls = []
+    label = orbits._point_orbits
+    monkeypatch.setattr(orbits, "_point_orbits", lambda *args: calls.append(args) or label(*args))
+    assert orbits.orbit_profile(path, 2) == [100, 100**2] and len(calls) == 101
+    calls.clear()
+    with pytest.raises(ValueError, match="arity 3 needs more than 10000 labellings"):
+        orbits.orbit_profile(path, 3)
+    assert len(calls) == 1
+
+
 def test_walk_limit_counts_labelled_points(monkeypatch):
     assert orbits.MAX_ORBIT_POINTS == 10_000_000
     # one labelling of all 400 000 points per arity at least: refused

@@ -14,6 +14,7 @@ from monoalg.symbolic import (
     Cardinal,
     CycleFamily,
     NSUCC,
+    NSucc,
     NotUltrahomogeneous,
     OMEGA,
     ONE,
@@ -84,6 +85,10 @@ def test_records_keep_their_value_semantics():
     with pytest.raises(TypeError):
         2 * Cardinal(3)
     assert Cardinal(3) > Cardinal(2) and OMEGA >= Cardinal(3) and not Cardinal(2) > OMEGA
+    # a record takes exactly its fields
+    for values in ((1,), (1, 2)):
+        with pytest.raises(TypeError, match=f"NSucc takes 0 values, got {len(values)}"):
+            NSucc(*values)
 
 
 # ---------------------------------------------------------------------------
