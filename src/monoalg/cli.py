@@ -160,8 +160,8 @@ def _cmd_orbits(args) -> int:
     from . import orbits
 
     A = _load_total(args.algebra)
-    profile = orbits.orbit_profile(A, args.n)
-    blocks = [list(b) for b in orbits.one_orbits(A)]
+    profile, orbit = orbits._orbit_walk(A, args.n)  # one skeleton and one unmarked labelling
+    blocks = [list(b) for b in orbits._blocks(orbit)]
     _emit(
         args,
         {"profile": profile, "one_orbits": blocks},

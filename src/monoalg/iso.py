@@ -17,11 +17,19 @@ Marked variants seed the child list of a marked element xs[i] with
 -1 - i, last mark first so that a point marked twice keeps its list
 ascending, which makes certificate equality of marked algebras
 equivalent to the existence of an isomorphism matching the marks.
+
+The automorphism group factors uniquely into small sets of aligned
+moves, as in a stabilizer chain: swaps of isomorphic components and of
+equal-labelled sibling trees, and the rotations of each cycle by
+multiples of its period.  enumerate_automorphisms multiplies the factor
+sizes into the group order and checks the cap before it builds any
+factor, then composes the factors' permutations as tuples in C.
 """
 
 from __future__ import annotations
 
-from itertools import groupby, permutations, product
+from itertools import groupby, permutations
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, generated
@@ -175,94 +183,105 @@ def brute_force_automorphisms(A: FiniteMonounary, bound: int = DEFAULT_BOUND) ->
 
 
 def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms, assembled from independent choices: where each
-    component goes among the isomorphic ones, which symmetric rotation
-    its cycle takes, and, at every element, how its children with equal
-    labels are permuted.
+    """All automorphisms, sorted, as the products f0 o f1 o ... of small
+    factor sets, one pick from each; every automorphism is exactly one
+    such product.  With every child list sorted by label, the breadth-
+    first lists of two equal-labelled trees align point by point, and
+    so do two isomorphic components read from their least rotations.
+    A run of s isomorphic components, or of s equal-labelled siblings,
+    gives s - 1 factors: factor i is the identity and the aligned swaps
+    of block i with each later block.  Each component also gives the
+    factor of its k/d rotations by multiples of its period d.  A class's
+    component swaps come before its rotations, and the sibling runs
+    come last, parents first.
 
-    The count is computed first; if it exceeds `cap` the call fails
-    instead of materializing.
+    The factor sizes are multiplied first; if the count exceeds `cap`
+    the call fails before any factor permutation is built.
     """
     sk = Skeleton(A.table)
     labels, seqs, rots, _ = label(sk, A.table)
-    factors: list[int] = []  # the group order is their product
+    sizes: list[int] = []  # the group order is their product
 
-    # with children sorted by label, any permutation within a run of
-    # equal labels maps the tree above x onto itself
     kids = sk.children()
-    runs_at: dict[int, list[slice]] = {}
+    runs_at: dict[int, list[list[int]]] = {}
     for x, ks in enumerate(kids):
+        if len(ks) < 2:
+            continue
         ks.sort(key=labels.__getitem__)
-        start = 0
         for _, run in groupby(ks, key=labels.__getitem__):
-            size = len(list(run))
-            if size > 1:
-                runs_at.setdefault(x, []).append(slice(start, start + size))
-                factors += range(2, size + 1)
-            start += size
+            run = list(run)
+            if len(run) > 1:
+                runs_at.setdefault(x, []).append(run)
+                sizes += range(2, len(run) + 1)
 
     # components are isomorphic iff their least-rotated cycle sequences
-    # are equal; one maps onto another at every rotation that aligns the
-    # least rotations, up to the sequence's period
+    # are equal
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, seq in enumerate(seqs):
         groups.setdefault(seq, []).append(i)
-    group_of = [0] * len(seqs)
-    for g, (seq, members) in enumerate(groups.items()):
-        for i in members:
-            group_of[i] = g
-        factors += range(2, len(members) + 1)
-        factors += [len(seq) // rots[members[0]][1]] * len(members)
+    for seq, members in groups.items():
+        sizes += range(2, len(members) + 1)
+        sizes += [len(seq) // rots[members[0]][1]] * len(members)
     total = 1
-    for factor in factors:
-        total *= factor
+    for size in sizes:
+        total *= size
         if total > cap:
             raise ValueError(f"automorphism count {total}+ exceeds cap {cap}")
-    parents: list[list[int]] = [[] for _ in groups]
+
+    n = A.n
+    factors: list[list[list[int]]] = []  # each factor's permutations but the identity
+
+    def tree(x: int) -> list[int]:
+        """The tree above x, breadth first, children in label order."""
+        out = [x]
+        for y in out:  # the loop reaches what it appends
+            out += kids[y]
+        return out
+
+    def swaps(blocks: list[list[int]]) -> None:
+        """The s - 1 factors of s aligned, pairwise swappable blocks."""
+        for i, a in enumerate(blocks[:-1]):
+            factor = []
+            for b in blocks[i + 1:]:
+                p = list(range(n))
+                for u, v in zip(a, b):
+                    p[u], p[v] = v, u
+                factor.append(p)
+            factors.append(factor)
+
+    # classes are disjoint, so each class's swaps and rotations may
+    # follow the previous class's
+    for seq, members in groups.items():
+        k, period = len(seq), rots[members[0]][1]
+        if len(members) == 1 and period == k:
+            continue
+        trees = []  # per member, the trees above its cycle from its least rotation
+        for i in members:
+            cycle, r = sk.cycles[i], rots[i][0]
+            trees.append([tree(c) for c in cycle[r:] + cycle[:r]])
+        if len(members) > 1:
+            swaps([[y for t in ts for y in t] for ts in trees])
+        if period < k:
+            for ts in trees:
+                factor = []
+                for shift in range(period, k, period):
+                    p = list(range(n))
+                    for t, src in enumerate(ts):
+                        for u, v in zip(src, ts[(t + shift) % k]):
+                            p[u] = v
+                    factor.append(p)
+                factors.append(factor)
     for level in reversed(sk.levels):
         for x in level:
-            if kids[x]:
-                parents[group_of[sk.comp[x]]].append(x)
+            for run in runs_at.get(x, ()):
+                swaps([tree(y) for y in run])
 
-    group_maps = []
-    for members, ps in zip(groups.values(), parents):
-        cycles = [sk.cycles[i] for i in members]
-        offsets = [rots[i][0] for i in members]
-        k, period = len(cycles[0]), rots[members[0]][1]
-        maps = []
-        for target in permutations(range(len(members))):
-            for shifts in product(range(0, k, period), repeat=len(members)):
-                m = {}
-                for a, b, r in zip(range(len(members)), target, shifts):
-                    oa, ob = offsets[a], offsets[b] + r
-                    m.update((cycles[a][(oa + t) % k], cycles[b][(ob + t) % k]) for t in range(k))
-                maps.append(m)
-        for x in ps:  # parents first: m[x] is set before x's children
-            ks = kids[x]
-            for m in maps:
-                m.update(zip(ks, kids[m[x]]))
-            runs = runs_at.get(x)
-            if runs:
-                branched = []
-                for m in maps:
-                    ts = kids[m[x]]
-                    for images in product(*[permutations(ts[r]) for r in runs]):
-                        b = m.copy()
-                        for r, image in zip(runs, images):
-                            b.update(zip(ks[r], image))
-                        branched.append(b)
-                maps = branched
-        group_maps.append(maps)
-
-    auts = []
-    points = range(A.n)
-    for combo in product(*group_maps):
-        m = combo[0]
-        if len(combo) > 1:
-            m = {}
-            for part in combo:
-                m.update(part)
-        auts.append(tuple(map(m.__getitem__, points)))
+    auts = [tuple(range(n))]
+    for factor in factors:
+        products = auts.copy()
+        for p in factor:
+            products += map(itemgetter(*p), auts)
+        auts = products
     auts.sort()
     return auts
 

@@ -44,17 +44,29 @@ def _point_orbits(sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()) ->
     return orbit
 
 
-def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
-    """Partition of the domain into automorphism orbits, blocks and
-    block list both ascending."""
+def _blocks(orbit: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The elements grouped by orbit number, blocks and block list both
+    ascending."""
     blocks: dict[int, list[int]] = {}
-    for x, o in enumerate(_point_orbits(Skeleton(A.table), A.table)):
+    for x, o in enumerate(orbit):
         blocks.setdefault(o, []).append(x)
     return tuple(sorted(map(tuple, blocks.values())))
 
 
+def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
+    """Partition of the domain into automorphism orbits, blocks and
+    block list both ascending."""
+    return _blocks(_point_orbits(Skeleton(A.table), A.table))
+
+
 def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
-    """Orbit counts of k-tuples (coordinates may repeat) for k = 1..up_to.
+    """Orbit counts of k-tuples (coordinates may repeat) for k = 1..up_to."""
+    return _orbit_walk(A, up_to)[0]
+
+
+def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
+    """orbit_profile's counts, and the orbit number of every element,
+    read off the walk's first, unmarked labelling.
 
     Arity by arity, one labelling per orbit of the arity below marks one
     representative per orbit of that tuple's stabilizer.  A stabilizer has
@@ -92,12 +104,13 @@ def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
     level: list[tuple[int, ...]] = [()]
     reserve(1, 1)  # checked before the skeleton is built
     sk = Skeleton(A.table)
+    first = _point_orbits(sk, A.table)  # arity 1's one labelling, xs = ()
     for arity in range(1, up_to + 1):
         spent += len(level)
         found: list[tuple[int, ...]] = []
         count = 0
         for xs in level:
-            reps = dict(zip(_point_orbits(sk, A.table, xs), points)).values()
+            reps = dict(zip(_point_orbits(sk, A.table, xs) if xs else first, points)).values()
             count += len(reps)
             if arity < up_to:
                 found.extend(xs + (x,) for x in reps)
@@ -105,7 +118,7 @@ def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
         counts.append(count)
         level = found
         reserve(len(level), arity + 1)
-    return counts
+    return counts, first
 
 
 def n_orbit_count(A: FiniteMonounary, k: int) -> int:

@@ -63,6 +63,18 @@ def test_orbits(capsys):
     assert payload == {"profile": [2, 5], "one_orbits": [[0], [1, 2]]}
 
 
+def test_orbits_labels_once(capsys, monkeypatch):
+    """The profile's first labelling also gives the 1-orbit blocks."""
+    from monoalg import iso
+
+    calls = []
+    label = iso.label
+    monkeypatch.setattr(iso, "label", lambda *a: calls.append(a) or label(*a))
+    code, out, _ = run(capsys, "orbits", "f: 0 0 0 1 2", "--n", "1")
+    assert code == 0 and out == "profile: [3]\none_orbits: [[0], [1, 2], [3, 4]]\n"
+    assert len(calls) == 1
+
+
 def test_orbits_arity_must_be_positive(capsys):
     for n in ("0", "-3"):
         code, out, err = run(capsys, "orbits", "f: 0 0 0", "--n", n)

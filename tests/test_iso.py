@@ -2,6 +2,7 @@
 cross-checked against permutation brute force."""
 
 import random
+import time
 from itertools import permutations, product
 
 import pytest
@@ -162,6 +163,52 @@ def test_cap_refuses_to_materialize():
         iso.enumerate_automorphisms(validate([0, 0, 0]), cap=1)
     with pytest.raises(ValueError, match="bound"):
         iso.brute_force_automorphisms(validate([0] * 9))
+
+
+def _relabelled(A, rng):
+    """A copy of A under a random relabelling drawn from rng."""
+    p = list(range(A.n))
+    rng.shuffle(p)
+    return validate([p[A.table[q]] for q in inverse(p)])
+
+
+@pytest.mark.parametrize("table", [list(range(100_000)), [0] * 100_000], ids=["identity", "star"])
+def test_cap_is_counted_before_any_factor_is_built(table):
+    """10^5 loops, or 10^5 - 1 leaves on one loop: the count passes the
+    cap within a few factor sizes.  Building even the first factor would
+    take about n^2 / 2 swaps on permutations of n points."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="cap"):
+        iso.enumerate_automorphisms(validate(table))
+    assert time.perf_counter() - start < 5
+
+
+def test_every_small_class_matches_brute_force(corpus):
+    rng = random.Random(9)
+    classes = [A for n in range(1, 7) for A in corpus[n]]
+    assert len(classes) == 207
+    for A in classes:
+        B = _relabelled(A, rng)
+        assert iso.enumerate_automorphisms(B) == iso.brute_force_automorphisms(B), B.table
+
+
+def test_two_runs_at_one_element_match_brute_force():
+    """A loop with three leaves and two one-leaf paths: the loop has two
+    runs of equal-labelled children, which no table on 6 points has."""
+    B = _relabelled(validate([0, 0, 0, 0, 0, 3, 4, 0]), random.Random(2))
+    auts = iso.enumerate_automorphisms(B)
+    assert len(auts) == 12 and auts == iso.brute_force_automorphisms(B)
+
+
+@pytest.mark.parametrize("text, order",[("A[1;8]", 40_320), ("4*Z3 + A[1;3,2]", 24 * 3**4 * 6 * 2**3)])
+def test_group_orders_above_brute_force_reach(text, order):
+    A = _relabelled(symbolic.instantiate(symbolic.parse(text), 1), random.Random(text))
+    auts = iso.enumerate_automorphisms(A)
+    assert len(auts) == len(set(auts)) == order
+    f = A.table
+    for p in auts:
+        assert tuple(map(p.__getitem__, f)) == tuple(map(f.__getitem__, p))
+    assert auts == sorted(auts)
 
 
 def test_extend_to_automorphism():
