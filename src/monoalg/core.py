@@ -69,7 +69,9 @@ class _Record:
 
 class _Monounary(_Record):
     """A value table checked once: entry i is f(i), an int in range(n)
-    that is not a bool, or None where undefined when the class allows it."""
+    that is not a bool, or None where undefined when the class allows it.
+    A table of plain ints in range passes in C (its set of entry types,
+    then min and max); any other goes through the per-entry loop."""
 
     __slots__ = _fields = ("table",)
     _undefined_ok = False
@@ -78,11 +80,12 @@ class _Monounary(_Record):
         n = len(table)
         if n == 0:
             raise ValueError("empty table")
-        for i, v in enumerate(table):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
-                if v is None and self._undefined_ok:
-                    continue
-                raise ValueError(f"entry {i} out of range: {v!r}")
+        if not (set(map(type, table)) <= {int} and 0 <= min(table) and max(table) < n):
+            for i, v in enumerate(table):
+                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                    if v is None and self._undefined_ok:
+                        continue
+                    raise ValueError(f"entry {i} out of range: {v!r}")
         super().__init__(table)
 
     @property
@@ -387,10 +390,12 @@ def from_json(text: str) -> Algebra:
         raise ValueError("JSON nested too deeply for a table") from None
     if not isinstance(data, dict) or "n" not in data or "f" not in data:
         raise ValueError("expected an object with keys 'n' and 'f'")
-    f = data["f"]
-    if not isinstance(f, list) or data["n"] != len(f):
+    n, f = data["n"], data["f"]
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"'n' must be an integer, got {type(n).__name__}")
+    if not isinstance(f, list) or n != len(f):
         raise ValueError("'n' does not match the table length")
-    if any(v is None for v in f):
+    if None in f:
         return PartialMonounary(tuple(f))
     return FiniteMonounary(tuple(f))
 

@@ -259,6 +259,13 @@ def test_iso_and_aut_on_a_long_path(capsys, tmp_path):
     assert code == 0 and payload["count"] == 1
 
 
+@pytest.mark.parametrize("n", ["true", "1.0"])
+def test_json_n_must_be_an_integer(capsys, n):
+    code, out, err = run(capsys, "analyze", f'{{"n": {n}, "f": [0]}}')
+    assert code == 2 and not out
+    assert "'n' must be an integer" in err
+
+
 def test_deeply_nested_json_is_an_error(capsys, tmp_path):
     deep = tmp_path / "deep.json"
     deep.write_text('{"n":1,"f":' + "[" * 100_000 + "]" * 100_000 + "}")

@@ -2,6 +2,7 @@
 round trips."""
 
 import copy
+import enum
 import pickle
 
 import pytest
@@ -53,6 +54,30 @@ def test_validation_errors_are_unchanged():
         with pytest.raises(ValueError) as info:
             cls(raw)
         assert str(info.value) == message
+    # 10^4 entries: a bad one late in the table fails the C-level check
+    # and the loop names it; valid entries that are not plain ints in
+    # range pass through the same loop
+    n = 10_000
+    good = list(range(1, n)) + [0]
+    for i, bad in [(n - 3, True), (n - 2, None), (n - 5, -1), (n - 7, n)]:
+        raw = tuple(good[:i] + [bad] + good[i + 1:])
+        for cls in (FiniteMonounary, PartialMonounary):
+            if cls is PartialMonounary and bad is None:
+                assert cls(raw).table[i] is None
+                continue
+            with pytest.raises(ValueError) as info:
+                cls(raw)
+            assert str(info.value) == f"entry {i} out of range: {bad!r}"
+
+    class Point(enum.IntEnum):
+        ZERO = 0
+        ONE = 1
+
+    enum_table = tuple(Point.ONE if i % 2 else Point.ZERO for i in range(n))
+    for cls in (FiniteMonounary, PartialMonounary):
+        assert cls(enum_table).table == enum_table
+    undefined = tuple(None if i % 3 else 0 for i in range(n))
+    assert PartialMonounary(undefined).domain() == tuple(range(0, n, 3))
 
 
 def test_value_semantics():

@@ -1,6 +1,7 @@
 """Certificates, isomorphism decisions and automorphism enumeration,
 cross-checked against permutation brute force."""
 
+import gc
 import random
 import time
 from itertools import permutations, product
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from monoalg import iso, symbolic
-from monoalg.core import FiniteMonounary, Skeleton, validate
+from monoalg.core import FiniteMonounary, Skeleton, random_algebra, validate
 from oracles import exists_iso, inverse, iso_bijections, partial_iso_images, symmetric_tables, tables
 
 
@@ -156,6 +157,45 @@ def test_automorphisms_form_a_group(tab):
     for p in sample:
         for q in sample:
             assert tuple(p[q[x]] for x in range(A.n)) in auts
+
+
+def test_kernels_leave_the_collector_as_they_found_it():
+    A = random_algebra(10_000, 4)
+    sk = Skeleton(A.table)
+    A8 = symbolic.instantiate(symbolic.parse("A[1;8]"), 1)
+    star = validate([0, 0, 0])
+    ran = []
+
+    def note(phase, info):
+        ran.append(info["generation"])
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            gc.callbacks.append(note)
+            try:
+                iso.label(sk, A.table)
+            finally:
+                gc.callbacks.remove(note)
+            assert not ran  # 10^4 points are labelled with the collector paused
+            assert gc.isenabled() is enabled
+            with pytest.raises(IndexError):  # a mark outside the table
+                iso.label(sk, A.table, (A.n,))
+            assert gc.isenabled() is enabled
+            iso.enumerate_automorphisms(star)
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="cap"):
+                iso.enumerate_automorphisms(star, cap=1)
+            assert gc.isenabled() is enabled
+        # the kernels build no reference cycle, so the pause defers no work
+        gc.collect()
+        gc.disable()
+        iso.label(sk, A.table)
+        assert len(iso.enumerate_automorphisms(A8)) == 40_320
+        assert gc.collect() == 0
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_cap_refuses_to_materialize():
