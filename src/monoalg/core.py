@@ -9,9 +9,10 @@ in general only a partial algebra.
 from __future__ import annotations
 
 import json
+from array import array
 from functools import cached_property
-from itertools import product
-from operator import attrgetter
+from itertools import compress, product
+from operator import attrgetter, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 # stated limits, kept here so that building the CLI's parser reads them
@@ -142,6 +143,11 @@ def random_algebra(n: int, seed: int) -> FiniteMonounary:
 class Skeleton:
     """One indegree peel of a table, read by every structural layer.
 
+    table   the table, copied once into a dense array("i"), so that the
+            per-element loops of every layer read machine ints side by
+            side rather than int objects scattered over the heap
+    degree  the number of preimages of each element, counted before the
+            peel
     levels  all elements grouped by rank, children first: a leaf has rank
             0, any other element one more than its highest-ranked acyclic
             preimage; acyclic elements peel off level by level
@@ -155,10 +161,12 @@ class Skeleton:
     """
 
     def __init__(self, table: Sequence[int]):
+        table = array("i", table)  # "i" holds every index below 2^31
         n = len(table)
         indeg = [0] * n
         for v in table:
             indeg[v] += 1
+        degree = indeg.copy()
         rank = [0] * n
         levels = []
         layer = [x for x in range(n) if not indeg[x]]
@@ -176,8 +184,8 @@ class Skeleton:
         levels.append([])
         cycles = []
         seen = [False] * n
-        for s in range(n):
-            if indeg[s] and not seen[s]:
+        for s in compress(range(n), indeg):
+            if not seen[s]:
                 cycle = []
                 x = s
                 while not seen[x]:
@@ -188,7 +196,7 @@ class Skeleton:
                 cycles.append(cycle)
         if not levels[-1]:
             levels.pop()
-        self.table, self.levels, self.cyclic, self.cycles = table, levels, indeg, cycles
+        self.table, self.degree, self.levels, self.cyclic, self.cycles = table, degree, levels, indeg, cycles
 
     def parents_first(self) -> Iterator[int]:
         """The acyclic elements, each after its image f(x)."""
@@ -300,14 +308,14 @@ def structure_report(A: FiniteMonounary) -> StructureReport:
     sk = Skeleton(A.table)
     blocks = sk.blocks()
     comps = tuple(sorted(tuple(b) for b in blocks))
-    image = set(A.table)
-    leaves = frozenset(x for x in range(A.n) if x not in image)
+    points = range(A.n)
+    leaves = frozenset(compress(points, map(not_, sk.degree)))
     purely_cyclic = tuple(
         frozenset(b) for b, c in zip(blocks, sk.cycles) if len(b) == len(c)
     )
     return StructureReport(
         components=comps,
-        cyclic=frozenset(x for x in range(A.n) if sk.cyclic[x]),
+        cyclic=frozenset(compress(points, sk.cyclic)),
         heights=tuple(sk.height),
         height=max(sk.height),
         leaves=leaves,

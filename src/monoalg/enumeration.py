@@ -116,7 +116,7 @@ def _least_table(table: Sequence[int]) -> tuple[int, ...]:
     prefix ties the least one are carried along together."""
     n = len(table)
     sk = Skeleton(table)
-    orbit = _point_orbits(sk, table)
+    orbit = _point_orbits(sk)
     kids = sk.children()
     cycle_len = [0] * n
     for cycle in sk.cycles:

@@ -5,10 +5,18 @@ hanging above it (Aho, Hopcroft & Ullman's tree labelling): level by
 level of the skeleton, the distinct sorted tuples of child labels are
 sorted and numbered on from the previous level.  No child list is ever
 sorted: labels grow from level to level, and each level hands its labels
-out in order, appending each to its parent's list, so every list is
-already its sorted key.  Unmarked, every key on the bottom level is
-empty, so that level takes label 0, which every element starts with,
-and only hands it to the parents.  A certificate is a flat pair of int
+out in order, appending each to its parent's child labels, so these are
+already its sorted key.  An element holds its child labels as () until
+its first child is labelled, then as the 1-tuple of that label, one
+tuple shared by the whole group that hands it out, and from the second
+child on as a list that later labels extend.  Most elements have at
+most one child, so most keys cost no allocation, and tuple() of a tuple
+key is that tuple, not a copy.  The list keeps a node with many
+distinct child labels linear: extending a tuple would copy it once per
+label.  Unmarked, every key on the bottom level is empty, so that level
+takes label 0, which every element starts with, and only hands it to
+the parents.  Every loop reads f from the skeleton's dense copy of the
+table (core.Skeleton).  A certificate is a flat pair of int
 tuples: the child-label tuples in label order, which fixes what every
 label means, and the sorted cycle label sequences, each at its least
 rotation.  Two algebras have equal certificates iff they are
@@ -91,69 +99,87 @@ def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
 
 
 def label(
-    sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()
+    sk: Skeleton, xs: Sequence[int] = ()
 ) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
     """Canonical tree labels, each cycle's label sequence at its least
     rotation and that rotation's (offset, period), both aligned with
     sk.cycles, and the certificate, with xs[i] marked by -1 - i.  Large
     tables are labelled with the cyclic garbage collector paused."""
-    if not gc.isenabled() or len(table) < 10 * gc.get_threshold()[0]:
-        return _label(sk, table, xs)
+    if not gc.isenabled() or len(sk.table) < 10 * gc.get_threshold()[0]:
+        return _label(sk, xs)
     gc.disable()
     try:
-        return _label(sk, table, xs)
+        return _label(sk, xs)
     finally:
         gc.enable()
 
 
 def _label(
-    sk: Skeleton, table: Sequence[int], xs: Sequence[int]
+    sk: Skeleton, xs: Sequence[int]
 ) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
-    kid_labels: list[list[int]] = [[] for _ in table]
+    table, cyclic = sk.table, sk.cyclic
+    n = len(table)
+    # x's child labels so far: (), then its group's shared 1-tuple, then a
+    # list that later labels extend; tuple() of a tuple is that tuple
+    keys_of: list = [()] * n
     for i in range(len(xs) - 1, -1, -1):  # last first: a repeated mark's list ascends
-        kid_labels[xs[i]].append(-1 - i)
-    labels = [0] * len(table)
+        keys_of[xs[i]] = [*keys_of[xs[i]], -1 - i]
+    labels = [0] * n
     entries: list[tuple[int, ...]] = []
-    cyclic = sk.cyclic
-    levels = sk.levels
-    if not xs:
-        # unmarked, every key on the bottom level is empty: label 0, which
-        # `labels` already holds, handed to the parents
-        entries.append(())
-        for x in levels[0]:
-            if not cyclic[x]:
-                kid_labels[table[x]].append(0)
-        levels = levels[1:]
-    for level in levels:
+    for depth, level in enumerate(sk.levels):
         base = len(entries)
         if len(level) == 1:  # a path's levels: nothing to group or sort
             x = level[0]
-            entries.append(tuple(kid_labels[x]))
+            entries.append(tuple(keys_of[x]))
             labels[x] = base
             if not cyclic[x]:
-                kid_labels[table[x]].append(base)
+                y = table[x]
+                k = keys_of[y]
+                if not k:
+                    keys_of[y] = (base,)
+                elif k.__class__ is tuple:
+                    keys_of[y] = [*k, base]
+                else:
+                    k.append(base)
             continue
-        # labels only grow from level to level and each level hands its
-        # labels out in order, so every child list is already its sorted key
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for x in level:
-            key = tuple(kid_labels[x])
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [x]
-            else:
-                group.append(x)
-        keys = sorted(groups)
-        for lab, key in enumerate(keys, base):
-            for x in groups[key]:
+        if not (depth or xs):  # unmarked, every key on the bottom level is empty
+            entries.append(())
+            runs = ((0, level),)
+        else:
+            # labels only grow from level to level and each level hands its
+            # labels out in order, so every child list is already its sorted key
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for x in level:
+                key = tuple(keys_of[x])
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [x]
+                else:
+                    group.append(x)
+            keys = sorted(groups)
+            entries += keys
+            runs = zip(range(base, len(entries)), map(groups.__getitem__, keys))
+        for lab, run in runs:
+            one = (lab,)
+            for x in run:
                 labels[x] = lab
                 if not cyclic[x]:
-                    kid_labels[table[x]].append(lab)
-        entries += keys
+                    y = table[x]
+                    k = keys_of[y]
+                    if not k:
+                        keys_of[y] = one
+                    elif k.__class__ is tuple:
+                        keys_of[y] = [*k, lab]
+                    else:
+                        k.append(lab)
     seqs, rots = [], []
     for cycle in sk.cycles:
+        if len(cycle) == 1:  # a loop is its own least rotation
+            seqs.append((labels[cycle[0]],))
+            rots.append((0, 1))
+            continue
         seq = list(map(labels.__getitem__, cycle))
-        r, period = _least_rotation(seq) if len(seq) > 1 else (0, 1)
+        r, period = _least_rotation(seq)
         seqs.append(tuple(seq[r:] + seq[:r]))
         rots.append((r, period))
     return labels, seqs, rots, (tuple(entries), tuple(sorted(seqs)))
@@ -161,7 +187,7 @@ def _label(
 
 def table_certificate(table: Sequence[int]) -> Certificate:
     """Certificate straight from a raw table (hot path for enumeration)."""
-    return label(Skeleton(table), table)[3]
+    return label(Skeleton(table))[3]
 
 
 def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
@@ -173,7 +199,7 @@ def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
     for x in xs:
         if not 0 <= x < A.n:
             raise ValueError(f"marked element out of range: {x}")
-    return label(Skeleton(A.table), A.table, xs)[3]
+    return label(Skeleton(A.table), xs)[3]
 
 
 def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
@@ -187,7 +213,7 @@ def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
         return False
     if sorted(map(len, ska.cycles)) != sorted(map(len, skb.cycles)):
         return False
-    return label(ska, A.table)[3] == label(skb, B.table)[3]
+    return label(ska)[3] == label(skb)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +268,7 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
     the call fails before any factor permutation is built.
     """
     sk = Skeleton(A.table)
-    labels, seqs, rots, _ = label(sk, A.table)
+    labels, seqs, rots, _ = label(sk)
     sizes: list[int] = []  # the group order is their product
 
     kids = sk.children()
@@ -348,8 +374,8 @@ def extend_to_automorphism(
     if len(set(m.values())) != len(m):
         raise ValueError("map is not injective")
     sk = Skeleton(A.table)
-    src, src_seqs, src_rots, cert = label(sk, A.table, tuple(m))
-    dst, dst_seqs, dst_rots, dst_cert = label(sk, A.table, tuple(m.values()))
+    src, src_seqs, src_rots, cert = label(sk, tuple(m))
+    dst, dst_seqs, dst_rots, dst_cert = label(sk, tuple(m.values()))
     if cert != dst_cert:
         return None
     p = [0] * A.n

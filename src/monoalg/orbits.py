@@ -28,10 +28,11 @@ MAX_ORBIT_LABELLINGS = 10_000
 MAX_ORBIT_POINTS = 10_000_000
 
 
-def _point_orbits(sk: Skeleton, table: Sequence[int], xs: Sequence[int] = ()) -> list[int]:
+def _point_orbits(sk: Skeleton, xs: Sequence[int] = ()) -> list[int]:
     """Orbit number of every element under the automorphisms fixing
     each xs[i]."""
-    labels, seqs, rots, _ = iso.label(sk, table, xs)
+    table = sk.table
+    labels, seqs, rots, _ = iso.label(sk, xs)
     seq_ids: dict[tuple[int, ...], int] = {}
     ids: dict[tuple, int] = {}  # cyclic keys have three entries, acyclic two
     orbit = [0] * len(table)
@@ -56,7 +57,7 @@ def _blocks(orbit: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     """Partition of the domain into automorphism orbits, blocks and
     block list both ascending."""
-    return _blocks(_point_orbits(Skeleton(A.table), A.table))
+    return _blocks(_point_orbits(Skeleton(A.table)))
 
 
 def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
@@ -104,13 +105,13 @@ def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
     level: list[tuple[int, ...]] = [()]
     reserve(1, 1)  # checked before the skeleton is built
     sk = Skeleton(A.table)
-    first = _point_orbits(sk, A.table)  # arity 1's one labelling, xs = ()
+    first = _point_orbits(sk)  # arity 1's one labelling, xs = ()
     for arity in range(1, up_to + 1):
         spent += len(level)
         found: list[tuple[int, ...]] = []
         count = 0
         for xs in level:
-            reps = dict(zip(_point_orbits(sk, A.table, xs) if xs else first, points)).values()
+            reps = dict(zip(_point_orbits(sk, xs) if xs else first, points)).values()
             count += len(reps)
             if arity < up_to:
                 found.extend(xs + (x,) for x in reps)

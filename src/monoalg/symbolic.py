@@ -22,7 +22,8 @@ algebras; they print but do not parse.
 from __future__ import annotations
 
 import re
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, sub
 from typing import Iterable, Optional, Union
 
 from . import core
@@ -574,19 +575,16 @@ def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
     uniform level by level and components with equal cycle size are
     isomorphic, and NotUltrahomogeneous names the first violation."""
     sk = core.Skeleton(A.table)
-    kids = [0] * A.n
-    for x, v in enumerate(A.table):
-        if not sk.cyclic[x]:
-            kids[v] += 1
+    # acyclic preimages: a cyclic element's one cyclic preimage is not a child
+    kids = list(map(sub, sk.degree, sk.cyclic))
     # one pass: every (component, height) bucket must hold one child count
     counts: dict[tuple[int, int], int] = {}
     top = [0] * len(sk.cycles)
     for x, key in enumerate(zip(sk.comp, sk.height)):
         if counts.setdefault(key, kids[x]) != kids[x]:
-            c, k = key
-            found = {kids[y] for y in range(A.n) if sk.comp[y] == c and sk.height[y] == k}
+            found = set(compress(kids, map(key.__eq__, zip(sk.comp, sk.height))))
             raise NotUltrahomogeneous(
-                f"not ultrahomogeneous: level {k} has non-uniform preimage counts {sorted(found)}"
+                f"not ultrahomogeneous: level {key[1]} has non-uniform preimage counts {sorted(found)}"
             )
         top[key[0]] = max(top[key[0]], key[1])
     # one profile per cycle size, counted: components with one cycle size

@@ -246,7 +246,8 @@ def test_structural_invariants(tab):
 def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
     """Walk f from x until it reaches a cycle: the steps are the height,
     and the cycle reached, as an index into sk.cycles, is comp; the same
-    whichever of the two is read first."""
+    whichever of the two is read first.  degree counts preimages, and
+    table is the input's entries whatever sequence type it came as."""
     n = len(tab)
     on_cycle = set()
     for x in range(n):  # n steps from any point land on its cycle
@@ -265,6 +266,9 @@ def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
         while y not in on_cycle:
             k, y = k + 1, tab[y]
         assert (height[x], comp[x]) == (k, index[y])
+    assert sk.degree == [tab.count(x) for x in range(n)]
+    for raw in (tab, list(tab), range(n)):
+        assert list(Skeleton(raw).table) == list(raw)
 
 
 @given(tables())

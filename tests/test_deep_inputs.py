@@ -3,6 +3,7 @@ long handle, many copies of one component.  No answer may depend on the
 recursion limit."""
 
 import random
+import time
 
 import pytest
 
@@ -60,6 +61,23 @@ def test_certificates_decide_isomorphism_on_deep_inputs(name):
     assert iso.table_certificate(A.table) != iso.table_certificate(other.table)
     assert iso.are_isomorphic(A, copy)
     assert not iso.are_isomorphic(A, other)
+
+
+def test_labelling_stays_linear_at_a_high_degree_node():
+    """One loop under a node with 50 000 leaf children and hairs of
+    lengths 1..300: that node takes a new child label on each of 300
+    levels, so its key must grow in place, not be copied per label."""
+    table = [0, 0] + [1] * 50_000
+    for length in range(1, 301):
+        table.append(1)
+        table += range(len(table) - 1, len(table) + length - 2)
+    assert len(table) == 95_152
+    table = tuple(table)
+    copy = _relabel(table, 8)
+    start = time.perf_counter()
+    assert iso.table_certificate(table) == iso.table_certificate(copy)
+    assert time.perf_counter() - start < 2
+    assert iso.are_isomorphic(FiniteMonounary(table), FiniteMonounary(copy))
 
 
 def test_ultrahomogeneity_on_deep_inputs():

@@ -175,13 +175,13 @@ def test_kernels_leave_the_collector_as_they_found_it():
             (gc.enable if enabled else gc.disable)()
             gc.callbacks.append(note)
             try:
-                iso.label(sk, A.table)
+                iso.label(sk)
             finally:
                 gc.callbacks.remove(note)
             assert not ran  # 10^4 points are labelled with the collector paused
             assert gc.isenabled() is enabled
             with pytest.raises(IndexError):  # a mark outside the table
-                iso.label(sk, A.table, (A.n,))
+                iso.label(sk, (A.n,))
             assert gc.isenabled() is enabled
             iso.enumerate_automorphisms(star)
             assert gc.isenabled() is enabled
@@ -191,7 +191,7 @@ def test_kernels_leave_the_collector_as_they_found_it():
         # the kernels build no reference cycle, so the pause defers no work
         gc.collect()
         gc.disable()
-        iso.label(sk, A.table)
+        iso.label(sk)
         assert len(iso.enumerate_automorphisms(A8)) == 40_320
         assert gc.collect() == 0
     finally:
