@@ -26,8 +26,9 @@ the default oracle bound (otherwise 8).
 Each verb imports only the modules it reads, so a call pays only for
 the code it runs; the parser reads its limits from core.  Work is
 bounded by stated limits: random:N and instantiate build at most 10^6
-points, aut lists at most iso.DEFAULT_AUT_CAP automorphisms, orbits
-walks at most orbits.MAX_ORBIT_ARITY coordinates,
+points, truncate at most 10^6 profiles and level cardinals, counted
+before it builds any, aut lists at most iso.DEFAULT_AUT_CAP
+automorphisms, orbits walks at most orbits.MAX_ORBIT_ARITY coordinates,
 orbits.MAX_ORBIT_LABELLINGS labellings and orbits.MAX_ORBIT_POINTS
 (10^7) labelled points (labellings times n), and enumerate goes up to
 core.MAX_POINTS points.
@@ -47,7 +48,7 @@ from . import core
 if TYPE_CHECKING:
     from . import symbolic
 
-MAX_RANDOM_N = 10**6  # the largest table the CLI builds (random:N, instantiate)
+MAX_RANDOM_N = 10**6  # the most the CLI builds: points (random:N, instantiate), truncate's entries
 
 # shape tokens only, with at least one descriptor letter
 _SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
@@ -292,10 +293,30 @@ def _cmd_instantiate(args) -> int:
     return 0
 
 
+def _truncate_size(S: symbolic.SymbolicAlgebra, h: int, max_cycle: int | None) -> int:
+    """Profiles and level cardinals of symbolic.truncate(S, h, max_cycle),
+    counted without building them: a tail expands to h levels, a
+    tail-free prefix keeps min(h, len(prefix)) of them."""
+    from . import symbolic
+
+    def size(prefix, tail) -> int:
+        return 1 + (h if tail is not None else min(h, len(prefix)))
+
+    total = sum(size(d.prefix, d.tail) for _, d in S.components if isinstance(d, symbolic.Profile))
+    return total + (max_cycle or 0) * sum(size(fam.prefix, fam.tail) for fam in S.families)
+
+
 def _cmd_truncate(args) -> int:
     from . import symbolic
 
     S = symbolic.parse(args.shape) if args.limit_k is None else symbolic.fraisse_limit(args.limit_k)
+    n = _truncate_size(S, args.height, args.max_cycle)
+    if n > MAX_RANDOM_N:
+        cycles = f" and max-cycle {args.max_cycle}" if S.families else ""
+        raise ValueError(
+            f"truncate builds at most {MAX_RANDOM_N} profiles and level cardinals;"
+            f" {symbolic.show(S)!r} to height {args.height}{cycles} has {n}"
+        )
     _emit_shape(args, symbolic.truncate(S, args.height, max_cycle=args.max_cycle))
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from array import array
 from functools import cached_property
-from itertools import compress, product
+from itertools import compress
 from operator import attrgetter, not_
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
@@ -259,11 +259,6 @@ def cyclic_mask(A: FiniteMonounary) -> tuple[bool, ...]:
     return tuple(map(bool, Skeleton(A.table).cyclic))
 
 
-def cycles_of(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
-    """All cycles, each listed in operation order starting at its least element."""
-    return tuple(tuple(c) for c in Skeleton(A.table).cycles)
-
-
 def heights(A: FiniteMonounary) -> tuple[int, ...]:
     """Least k with f^k(x) cyclic, per element."""
     return tuple(Skeleton(A.table).height)
@@ -288,10 +283,6 @@ class MinimalGenerators(NamedTuple):
 
     leaves: frozenset[int]
     cycle_choices: tuple[frozenset[int], ...]
-
-    def all_sets(self) -> Iterator[frozenset[int]]:
-        for picks in product(*[sorted(c) for c in self.cycle_choices]):
-            yield self.leaves | frozenset(picks)
 
 
 class StructureReport(NamedTuple):

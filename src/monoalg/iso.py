@@ -61,7 +61,7 @@ from itertools import groupby, permutations
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, generated
+from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton
 
 Certificate = tuple
 
@@ -392,18 +392,3 @@ def extend_to_automorphism(
             for a, b in zip(mine, theirs):
                 p[a] = b
     return tuple(p)
-
-
-# ---------------------------------------------------------------------------
-# isomorphisms between generated subalgebras
-
-def isomorphisms_between(
-    A: FiniteMonounary, S: Iterable[int], T: Iterable[int], bound: int = DEFAULT_BOUND
-) -> list[dict[int, int]]:
-    """All isomorphisms from the subalgebra generated by S onto the one
-    generated by T, as explicit maps."""
-    src = tuple(sorted(generated(A, S)))
-    tgt = tuple(sorted(generated(A, T)))
-    if max(len(src), len(tgt)) > bound:
-        raise ValueError(f"bound exceeded: subalgebra size > {bound}")
-    return [dict(zip(src, images)) for images in partial_iso_images([A.table], src, tgt)]

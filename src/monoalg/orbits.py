@@ -83,6 +83,7 @@ def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
     points = range(A.n)
     counts: list[int] = []
     spent = 0
+    ones = 1  # the number of 1-orbits, once the first labelling is done
 
     def reserve(tuples: int, arity: int) -> None:
         """Fail unless labelling `tuples` tuples of arity - 1 coordinates,
@@ -100,12 +101,13 @@ def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
                     f"orbit profile to arity {up_to} needs more than {MAX_ORBIT_POINTS} labelled points"
                     f" ({A.n} points a labelling), the orbit walk limit"
                 )
-            tuples *= counts[0] if counts else 1
+            tuples *= ones
 
     level: list[tuple[int, ...]] = [()]
     reserve(1, 1)  # checked before the skeleton is built
     sk = Skeleton(A.table)
     first = _point_orbits(sk)  # arity 1's one labelling, xs = ()
+    ones = max(first) + 1  # orbit numbers are dense from 0
     for arity in range(1, up_to + 1):
         spent += len(level)
         found: list[tuple[int, ...]] = []
@@ -118,7 +120,6 @@ def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
                 reserve(len(found), arity + 1)
         counts.append(count)
         level = found
-        reserve(len(level), arity + 1)
     return counts, first
 
 

@@ -4,8 +4,10 @@ For cyclic c, the tree A_c carries a partial order: a >= b iff some power
 of f sends a to b (staying inside the tree, with c at the bottom).  Down
 from any element is a chain, any two elements meet, and x covers y exactly
 when y = f(x), so the order and the partial operation determine each
-other; their automorphism groups coincide.  check_aut_equality verifies
-that on concrete inputs with two independent brute-force filters.
+other; their automorphism groups coincide.  build_order therefore keeps
+only the covers, one per element above c, and check_aut_equality
+verifies the coincidence on concrete inputs with two independent
+brute-force filters.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from .core import FiniteMonounary
 
 
 class InducedPoset(NamedTuple):
-    """Reflexive order pairs (a, b) meaning a <= b, on original labels."""
+    """The order on the tree above `bottom`, on original labels, as its
+    cover pairs (x, f(x)): a <= b iff covers lead down from b to a."""
 
     elements: tuple[int, ...]
-    leq: frozenset[tuple[int, int]]
     covers: frozenset[tuple[int, int]]
     bottom: int
 
@@ -34,31 +36,7 @@ def build_order(A: FiniteMonounary, c: int) -> InducedPoset:
         raise ValueError(f"{c} is not cyclic")
     elems = tuple(sk.tree_above(c))
     f = A.table
-    leq = set()
-    covers = set()
-    for a in elems:
-        leq.add((a, a))
-        x = a
-        while x != c:
-            y = f[x]
-            covers.add((x, y))
-            leq.add((y, a))
-            x = y
-    return InducedPoset(elems, frozenset(leq), frozenset(covers), c)
-
-
-def meet(P: InducedPoset, x: int, y: int) -> int:
-    """Greatest common lower bound; total because down-sets are chains
-    through the bottom."""
-    if x not in P.elements or y not in P.elements:
-        raise ValueError("element not in the poset")
-    down_x = {a for (a, b) in P.leq if b == x}
-    down_y = {a for (a, b) in P.leq if b == y}
-    commons = down_x & down_y
-    for z in commons:
-        if all((w, z) in P.leq for w in commons):
-            return z
-    raise RuntimeError("meet not found in a meet semilattice")
+    return InducedPoset(elems, frozenset((x, f[x]) for x in elems if x != c), c)
 
 
 def check_aut_equality(

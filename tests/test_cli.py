@@ -318,6 +318,18 @@ def test_truncate_limit_k_zero_names_the_rule(capsys):
     assert code == 2 and not out and "k must be at least 1" in err
 
 
+def test_truncate_size_is_capped(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "truncate", "--limit-k", "2", "--height", "1000", "--max-cycle", "3000")
+    assert code == 2 and not out
+    assert "at most 1000000" in err and "'sum_(n>=1) w*A[n;1;2]' to height 1000 and max-cycle 3000" in err
+    code, out, err = run(capsys, "truncate", "A[1;;2]", "--height", "10000000")
+    assert code == 2 and not out and "at most 1000000" in err and "'A[1;;2]' to height 10000000" in err
+    assert time.perf_counter() - start < 1
+    code, out, _ = run(capsys, "truncate", "A[1;2]", "--height", "10000000")
+    assert code == 0 and out.strip() == "A[1;2]"
+
+
 def test_instantiate_size_is_capped(capsys):
     code, out, err = run(capsys, "instantiate", "A[1;w,w,w,w]", "--w", "1000")
     assert code == 2 and not out and "1000000" in err
@@ -360,3 +372,22 @@ def test_verb_as_a_program_loads_only_what_it_reads(argv, modules):
     package = {name for name in names if name.split(".")[0] == "monoalg"} - {"monoalg.cli"}
     assert package == {"monoalg", "monoalg.core"} | {f"monoalg.{m}" for m in modules}
     assert "dataclasses" not in names
+
+
+def test_runtime_is_stdlib_only():
+    """Every package module imports with nothing but the standard library.
+    -S leaves site-packages off the path and its start-up hooks out of the
+    interpreter, so a third-party import fails outright, and any other
+    module loaded must be one of the standard library's."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monoalg.__file__)))
+    script = (
+        "import importlib, pkgutil, sys, monoalg\n"
+        "for m in pkgutil.iter_modules(monoalg.__path__):\n"
+        "    importlib.import_module('monoalg.' + m.name)\n"
+        "print(' '.join(sorted({name.partition('.')[0] for name in sys.modules} - {'__main__'})))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "monoalg" in loaded
+    assert loaded - {"monoalg"} <= set(sys.stdlib_module_names)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from monoalg import homogeneity, iso, orbits, symbolic
+from monoalg import core, homogeneity, iso, orbits, semilinear, symbolic
 from monoalg.core import FiniteMonounary
 from monoalg.symbolic import Profile
 
@@ -78,6 +78,16 @@ def test_labelling_stays_linear_at_a_high_degree_node():
     assert iso.table_certificate(table) == iso.table_certificate(copy)
     assert time.perf_counter() - start < 2
     assert iso.are_isomorphic(FiniteMonounary(table), FiniteMonounary(copy))
+
+
+def test_tree_order_and_upper_set_stay_linear_on_a_long_path():
+    A = FiniteMonounary(_path(100_000))
+    start = time.perf_counter()
+    assert len(semilinear.build_order(A, 0).covers) == 99_999
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    assert len(core.upper_set(A, 1)[1]) == 99_999
+    assert time.perf_counter() - start < 2
 
 
 def test_ultrahomogeneity_on_deep_inputs():

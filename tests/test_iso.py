@@ -4,7 +4,7 @@ cross-checked against permutation brute force."""
 import gc
 import random
 import time
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -292,41 +292,6 @@ def test_extension_matches_brute_force(tab, data):
     p = iso.extend_to_automorphism(A, m)
     assert (p is not None) == any(all(q[k] == v for k, v in m.items()) for q in auts)
     assert p is None or p in auts and all(p[k] == v for k, v in m.items())
-
-
-# ---------------------------------------------------------------------------
-# isomorphisms between generated subalgebras
-
-def test_isomorphisms_between_subalgebras():
-    A = validate([0, 0, 0])
-    maps = iso.isomorphisms_between(A, [1], [2])
-    assert maps == [{0: 0, 1: 2}]
-    assert iso.isomorphisms_between(A, [1], [0]) == []
-    z6 = validate([1, 2, 3, 4, 5, 0])
-    rots = iso.isomorphisms_between(z6, [0], [0])
-    assert len(rots) == 6
-    with pytest.raises(ValueError, match="bound"):
-        iso.isomorphisms_between(z6, [0], [0], bound=3)
-
-
-@given(tables(max_n=5), st.data())
-@settings(max_examples=60, deadline=None)
-def test_subalgebra_isomorphisms_agree_with_definition(tab, data):
-    A = FiniteMonounary(tab)
-    from monoalg.core import generated
-
-    s = data.draw(st.integers(0, A.n - 1))
-    t = data.draw(st.integers(0, A.n - 1))
-    src = tuple(sorted(generated(A, [s])))
-    tgt = tuple(sorted(generated(A, [t])))
-    got = {tuple(m[x] for x in src) for m in iso.isomorphisms_between(A, [s], [t])}
-    expect = set()
-    if len(src) == len(tgt):
-        for perm in permutations(tgt):
-            m = dict(zip(src, perm))
-            if all(m[A(x)] == A(m[x]) for x in src):
-                expect.add(perm)
-    assert got == expect
 
 
 @given(st.data())

@@ -14,9 +14,10 @@ def test_build_order_example():
     assert P.elements == (0, 1, 2, 3)
     assert P.bottom == 0
     assert P.covers == frozenset({(1, 0), (2, 0), (3, 1)})
-    assert (0, 3) in P.leq and (1, 3) in P.leq
-    assert (3, 1) not in P.leq
-    assert all((x, x) in P.leq for x in P.elements)
+    # 3 >= 1 >= 0 by covers, 1 >= 3 by none
+    assert (3, 1) in P.covers and (1, 0) in P.covers
+    assert (1, 3) not in P.covers
+    assert all((P.bottom, x) not in P.covers for x in P.elements)
 
 
 def test_build_order_rejects_non_cyclic():
@@ -32,17 +33,6 @@ def test_trivial_tree_over_proper_cycle():
     P = semilinear.build_order(z3, 1)
     assert P.elements == (1,)
     assert P.covers == frozenset()
-
-
-def test_meet_examples():
-    A = validate([0, 0, 0, 1])
-    P = semilinear.build_order(A, 0)
-    assert semilinear.meet(P, 2, 3) == 0
-    assert semilinear.meet(P, 1, 3) == 1
-    assert semilinear.meet(P, 3, 3) == 3
-    assert semilinear.meet(P, 0, 2) == 0
-    with pytest.raises(ValueError):
-        semilinear.meet(P, 0, 7)
 
 
 def test_cover_relation_is_the_operation():
@@ -72,19 +62,31 @@ def test_aut_equality_examples():
 
 @given(tables(max_n=6))
 @settings(max_examples=60, deadline=None)
-def test_meet_is_a_lower_bound(tab):
+def test_covers_generate_the_tree_order(tab):
     A = FiniteMonounary(tab)
     cyc = core.cyclic_mask(A)
     for c in range(A.n):
         if not cyc[c]:
             continue
         P = semilinear.build_order(A, c)
-        for x in P.elements:
-            for y in P.elements:
-                z = semilinear.meet(P, x, y)
-                assert (z, x) in P.leq and (z, y) in P.leq
-                assert semilinear.meet(P, y, x) == z
-                assert semilinear.meet(P, x, P.bottom) == P.bottom
+        # the definition: a >= b iff some power of f sends a to b inside
+        # the tree, whose powers stop at the first cyclic element, c
+        order = set()
+        for a in range(A.n):
+            down = [a]
+            while not cyc[down[-1]]:
+                down.append(A(down[-1]))
+            if down[-1] == c:
+                order.update((a, b) for b in down)
+        assert P.elements == tuple(sorted({a for a, _ in order}))
+        # the reflexive-transitive closure of the covers, pairs (above, below)
+        closure = {(a, a) for a in P.elements}
+        while True:
+            more = {(a, z) for a, b in closure for y, z in P.covers if y == b} - closure
+            if not more:
+                break
+            closure |= more
+        assert closure == order
 
 
 @given(tables(max_n=6))
