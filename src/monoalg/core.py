@@ -181,7 +181,7 @@ class Skeleton:
                 if not indeg[y]:
                     nxt.append(y)
             layer = nxt
-        levels.append([])
+        levels.append([])  # the top rank: the last layer's images are all cyclic
         cycles = []
         seen = [False] * n
         for s in compress(range(n), indeg):
@@ -194,8 +194,6 @@ class Skeleton:
                     levels[rank[x]].append(x)
                     x = table[x]
                 cycles.append(cycle)
-        if not levels[-1]:
-            levels.pop()
         self.table, self.degree, self.levels, self.cyclic, self.cycles = table, degree, levels, indeg, cycles
 
     def parents_first(self) -> Iterator[int]:

@@ -201,21 +201,17 @@ def classify_lattice(A: FiniteMonounary, bound: int = core.DEFAULT_BOUND) -> Lat
 
 def pseudoforest_ultrahomogeneous(P: PartialMonounary) -> bool:
     """UH for loop-free partial algebras, equivalently homogeneity of the
-    associated functional digraph: disjoint 2-cycles, disjoint 3-cycles, a
-    single 4-cycle, or the empty operation.  Loops are rejected."""
+    associated functional digraph.  An operation defined on some points
+    but not all never is UH and the nowhere-defined one always is; a
+    total one is UH exactly when it is partially homogeneous, since
+    without loops its induced partial structures are the induced
+    subdigraphs.  Loops are rejected."""
     for x, v in enumerate(P.table):
         if v == x:
             raise ValueError(f"loop at {x}: input must be loop-free")
-    defined = [v is not None for v in P.table]
-    if not any(defined):
-        return True
-    if not all(defined):
-        return False
-    sk = core.Skeleton(P.table)
-    if not all(sk.cyclic):
-        return False
-    sizes = sorted(len(c) for c in sk.cycles)
-    return set(sizes) == {2} or set(sizes) == {3} or sizes == [4]
+    if None in P.table:
+        return set(P.table) == {None}
+    return is_partially_homogeneous(FiniteMonounary(P.table))
 
 
 # ---------------------------------------------------------------------------

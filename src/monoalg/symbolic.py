@@ -14,6 +14,9 @@ A descriptor is one of
 Cardinals come from {0, 1, 2, ...} with a top element w; arithmetic
 saturates at w.  A symbolic algebra is a cardinal-weighted sum of
 descriptors, normalized by merging isomorphic descriptors and sorting.
+In the written form, `parse`/`show`, whitespace may stand between any
+two tokens but not inside a number, and a syntax error names the term
+that failed to match.
 Limit families (one profile per cycle length, over all lengths at once)
 represent the age-limits of the finite, and the k-bounded-branching,
 algebras; they print but do not parse.
@@ -149,10 +152,10 @@ class Profile(_Record):
         tail = card(tail) if tail is not None else None
         if 0 in map(_value, prefix) or tail == ZERO:
             raise ValueError("level cardinals must be nonzero")
-        if tail is not None:
-            while prefix and prefix[-1] == tail:
-                prefix = prefix[:-1]
-        super().__init__(cycle, prefix, tail)
+        k = len(prefix)  # drop trailing entries equal to the tail (none if None), slicing once
+        while k and prefix[k - 1] == tail:
+            k -= 1
+        super().__init__(cycle, prefix[:k], tail)
 
     @property
     def height(self) -> Optional[int]:
@@ -205,9 +208,6 @@ class CycleFamily(_Record):
     multiplicity: Cardinal
     prefix: tuple[Cardinal, ...]
     tail: Optional[Cardinal]
-
-    def __init__(self, multiplicity: Cardinal, prefix: tuple[Cardinal, ...], tail: Optional[Cardinal]) -> None:
-        super().__init__(multiplicity, prefix, tail)
 
     def member(self, n: int) -> Profile:
         return Profile(n, self.prefix, self.tail)
@@ -283,100 +283,41 @@ def show(S: SymbolicAlgebra) -> str:
     return " + ".join(parts)
 
 
-_TOKEN = re.compile(r"\s*(\d+|[wZNAB\[\];,+*])")
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens: list[str] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None:
-                if text[pos:].strip():
-                    raise ValueError(f"bad token at: {text[pos:]!r}")
-                break
-            self.tokens.append(m.group(1))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self) -> Optional[str]:
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def take(self, expect: Optional[str] = None) -> str:
-        tok = self.peek()
-        if tok is None or (expect is not None and tok != expect):
-            raise ValueError(f"expected {expect or 'more input'}, got {tok!r}")
-        self.i += 1
-        return tok
-
-    def card(self) -> Cardinal:
-        tok = self.take()
-        if tok == "w":
-            return OMEGA
-        if tok.isdigit():
-            return Cardinal(int(tok))
-        raise ValueError(f"expected a cardinal, got {tok!r}")
-
-    def cardlist(self) -> tuple[Cardinal, ...]:
-        out = []
-        if self.peek() in (";", "]"):
-            return ()
-        out.append(self.card())
-        while self.peek() == ",":
-            self.take(",")
-            out.append(self.card())
-        return tuple(out)
-
-    def descriptor(self) -> Descriptor:
-        tok = self.take()
-        if tok == "N":
-            return NSUCC
-        if tok == "Z":
-            return Profile(int(self.take()))
-        if tok == "B":
-            self.take("[")
-            a = self.card()
-            self.take("]")
-            return Bee(a)
-        if tok == "A":
-            self.take("[")
-            cycle = int(self.take())
-            prefix: tuple[Cardinal, ...] = ()
-            tail: Optional[Cardinal] = None
-            if self.peek() == ";":
-                self.take(";")
-                prefix = self.cardlist()
-                if self.peek() == ";":
-                    self.take(";")
-                    tail = self.card()
-            self.take("]")
-            return Profile(cycle, prefix, tail)
-        raise ValueError(f"expected a descriptor, got {tok!r}")
-
-    def term(self) -> tuple[Cardinal, Descriptor]:
-        tok = self.peek()
-        if tok is not None and (tok.isdigit() or tok == "w"):
-            save = self.i
-            mult = self.card()
-            if self.peek() == "*":
-                self.take("*")
-                return mult, self.descriptor()
-            self.i = save
-        return ONE, self.descriptor()
-
-    def sum(self) -> SymbolicAlgebra:
-        comps = [self.term()]
-        while self.peek() == "+":
-            self.take("+")
-            comps.append(self.term())
-        if self.peek() is not None:
-            raise ValueError(f"trailing input: {self.peek()!r}")
-        return symbolic(comps)
+_CARD = r"(?:\d+|w)"
+# One term of a sum.  No two \s* meet, not even across an optional group:
+# a whitespace run that fails to match would be retried at every split.
+_TERM = re.compile(
+    rf"""\s* (?: (?P<weight> {_CARD} ) \s* \* \s* )?
+    (?: N                                               # the successor chain
+      | Z \s* (?P<z> \d+ )                              # a bare cycle
+      | B \s* \[ \s* (?P<b> {_CARD} ) \s* \]            # B[a]
+      | A \s* \[ \s* (?P<a> \d+ ) \s*                   # A[n;prefix;tail], both parts optional
+        (?: ; \s* (?: (?P<prefix> {_CARD} (?: \s* , \s* {_CARD} )* ) \s* )?
+            (?: ; \s* (?P<tail> {_CARD} ) \s* )? )? \]    # A[1; ;1] reads as A[1;;1]
+    ) \s*""",
+    re.X,
+)
 
 
 def parse(text: str) -> SymbolicAlgebra:
-    return _Parser(text).sum()
+    """Read a `+`-sum of terms, each matched whole by _TERM; the first
+    term that does not match is named in the error."""
+    comps = []
+    for term in text.split("+"):
+        m = _TERM.fullmatch(term)
+        if m is None:
+            raise ValueError(f"not a shape term: {term.strip()!r}")
+        weight, z, b, a, prefix, tail = m.group("weight", "z", "b", "a", "prefix", "tail")
+        if z is not None:
+            desc: Descriptor = Profile(int(z))
+        elif b is not None:
+            desc = Bee(b)
+        elif a is not None:
+            desc = Profile(int(a), re.findall(_CARD, prefix or ""), tail)
+        else:
+            desc = NSUCC
+        comps.append((weight or ONE, desc))
+    return symbolic(comps)
 
 
 # ---------------------------------------------------------------------------

@@ -252,8 +252,9 @@ def test_structural_invariants(tab):
 def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
     """Walk f from x until it reaches a cycle: the steps are the height,
     and the cycle reached, as an index into sk.cycles, is comp; the same
-    whichever of the two is read first.  degree counts preimages, and
-    table is the input's entries whatever sequence type it came as."""
+    whichever of the two is read first.  No level is empty, degree
+    counts preimages, and table is the input's entries whatever sequence
+    type it came as."""
     n = len(tab)
     on_cycle = set()
     for x in range(n):  # n steps from any point land on its cycle
@@ -267,6 +268,7 @@ def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
     else:
         comp, height = sk.comp, sk.height
     assert sorted(index) == sorted(on_cycle)
+    assert all(sk.levels)
     for x in range(n):
         k, y = 0, x
         while y not in on_cycle:

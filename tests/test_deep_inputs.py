@@ -90,6 +90,32 @@ def test_tree_order_and_upper_set_stay_linear_on_a_long_path():
     assert time.perf_counter() - start < 2
 
 
+def _seconds(f, *args):
+    start = time.perf_counter()
+    f(*args)
+    return time.perf_counter() - start
+
+
+def test_shape_parsing_stays_linear():
+    """A 10^5-entry prefix parses, a prefix of 10^5 entries equal to the
+    tail is stripped, and shapes of 2*10^5 characters that break off are
+    refused, each within 2 s: the term pattern must not backtrack over
+    every split of a run of digits, commas or whitespace."""
+    long = "A[1;" + ",".join(["2"] * 100_000) + "]"
+    assert _seconds(symbolic.parse, long) < 2
+    assert symbolic.parse(long) == symbolic.symbolic([(1, Profile(1, (2,) * 100_000))])
+    assert _seconds(symbolic.parse, long[:-1] + ";2]") < 2
+    assert symbolic.parse(long[:-1] + ";2]") == symbolic.parse("A[1;;2]")
+
+    def refuse(text):
+        with pytest.raises(ValueError, match="not a shape term"):
+            symbolic.parse(text)
+
+    for bad in ("A[1;" + "1," * 100_000, "A[1;" + " " * 200_000, "A[1;1" + " , 1" * 50_000 + ";"):
+        assert len(bad) >= 200_000
+        assert _seconds(refuse, bad) < 2
+
+
 def test_ultrahomogeneity_on_deep_inputs():
     two_paths = symbolic.instantiate(symbolic.symbolic([(2, Profile(1, (1,) * 4999))]), 1)
     assert homogeneity.is_ultrahomogeneous(FiniteMonounary(_relabel(two_paths.table, 3)))

@@ -3,6 +3,7 @@ instantiation and decomposition."""
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -150,9 +151,49 @@ def test_parse_show_round_trip(text):
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "Z", "A[;1]", "Z2 +", "Q7", "A[2;1", "2*", "w"]:
+    for bad in [
+        "", "Z", "A[;1]", "Z2 +", "Q7", "A[2;1", "2*", "w",
+        "A[1;,1]", "A[1;1,]", "A[5;;]", "A[2;1;]", "Z1 2", "2*3*Z2", "Z3+", "+Z3",
+        "B[]", "A[1;1;1;1]", "N[1]", "A[1;x]",
+    ]:
         with pytest.raises(ValueError):
             parse(bad)
+
+
+def test_syntax_errors_name_the_failing_term():
+    with pytest.raises(ValueError, match=r"^not a shape term: 'A\[2;1'$"):
+        parse("Z2 + A[2;1")
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("A [ 3 ; w , 2 ]", "A[3;w,2]"),
+        ("A[5;]", "Z5"),
+        ("A[1; ;1]", "A[1;;1]"),
+        ("A[1;\t1]\n+\tZ2", "A[1;1] + Z2"),
+    ],
+)
+def test_parse_accepts_edge_forms(text, shown):
+    assert show(parse(text)) == shown
+
+
+_cards = st.sampled_from(["w", 1, 2, 3, 12])
+_descriptors = st.one_of(
+    st.just(NSUCC),
+    st.builds(Bee, _cards),
+    st.builds(Profile, st.integers(1, 12), st.lists(_cards, max_size=4), st.none() | _cards),
+)
+
+
+@given(st.lists(st.tuples(_cards, _descriptors), min_size=1, max_size=4).map(sym.symbolic), st.data())
+@settings(max_examples=200, deadline=None)
+def test_parse_reads_show_with_any_whitespace_between_tokens(S, data):
+    """Whitespace may stand between any two tokens, a number being one."""
+    tokens = re.findall(r"\d+|\S", show(S))
+    gaps = st.sampled_from(["", " ", "\t", "\n", "  \t"])
+    text = "".join(data.draw(gaps) + tok for tok in tokens) + data.draw(gaps)
+    assert parse(text) == S
 
 
 # ---------------------------------------------------------------------------
