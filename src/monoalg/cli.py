@@ -152,8 +152,14 @@ def _cmd_aut(args) -> int:
         auts = iso.brute_force_automorphisms(A, bound=args.bound)
     else:
         auts = iso.enumerate_automorphisms(A)
-    # json writes the tuples as arrays
-    _emit(args, {"count": len(auts), "automorphisms": auts}, lambda: "\n".join(str(list(p)) for p in auts))
+    # each row is written from the points' names, as json.dumps and
+    # str(list(p)) would write it
+    names = list(map(str, range(A.n)))
+    rows = [", ".join(map(names.__getitem__, p)) for p in auts]
+    if args.json:
+        print(f'{{"count": {len(auts)}, "automorphisms": [[' + "], [".join(rows) + "]]}")
+    else:
+        print("[" + "]\n[".join(rows) + "]")
     return 0
 
 

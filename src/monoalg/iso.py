@@ -34,7 +34,9 @@ moves, as in a stabilizer chain: swaps of isomorphic components and of
 equal-labelled sibling trees, and the rotations of each cycle by
 multiples of its period.  enumerate_automorphisms multiplies the factor
 sizes into the group order and checks the cap before it builds any
-factor, then composes the factors' permutations as tuples in C.
+factor, then composes the factors' permutations in C: on at most 256
+points as byte strings, each factor applied with bytes.translate and
+the products sorted by memcmp, on more points as tuples.
 
 The labelling builds a child-label list per element, so on 10^5 points
 CPython's cyclic garbage collector would pass over them many times.  It
@@ -45,19 +47,18 @@ collector paused, and the caller's setting comes back, also when the
 labelling raises.  A smaller table triggers a few cheap young
 collections at most; pausing them gains nothing and only moves the
 caller's full collections.  The enumeration does not pause the
-collector: a full collection also empties CPython's tuple free lists,
-which otherwise keep up to 2000 tuples of each small length from a
-group enumerated before, scattered over its memory, so that memory
-cannot hold the new group.  In one process, enumerating A[1;8] and then
-4*Z3 + A[1;3,2] with the collector paused peaked at 49.9 MB, against
-45.2 MB.  Tables themselves are validated at C speed (see
-core._Monounary).
+collector.  On at most 256 points it composes byte strings, which the
+collector does not track, so only the closing conversion to tuples
+triggers collections, and these free nothing.  In one process,
+enumerating A[1;8] and then 4*Z3 + A[1;3,2] peaked at 43.0 MB, and at
+43.3 MB with the collector paused around each call (CPython 3.11).
+Tables themselves are validated at C speed (see core._Monounary).
 """
 
 from __future__ import annotations
 
 import gc
-from itertools import groupby, permutations
+from itertools import groupby, permutations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -266,6 +267,16 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
 
     The factor sizes are multiplied first; if the count exceeds `cap`
     the call fails before any factor permutation is built.
+
+    When every point fits in a byte (n <= 256) the products are byte
+    strings: a pick p is applied to a product a as a.translate(t), t
+    being p padded to 256 bytes, which is p o a, so the products come
+    out as ... o f1 o f0.  Every factor set is closed under inverses (the
+    identity and involutive swaps, or all rotations by multiples of a
+    period), so these are the inverses of the products f0 o f1 o ...,
+    again every automorphism exactly once.  Byte strings of one length
+    sort as the tuples of their bytes, and are turned into tuples last.
+    On more points the products are tuples, a o p by itemgetter.
     """
     sk = Skeleton(A.table)
     labels, seqs, rots, _ = label(sk)
@@ -345,14 +356,18 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
             for run in runs_at.get(x, ()):
                 swaps([tree(y) for y in run])
 
-    auts = [tuple(range(n))]
+    small = n <= 256  # a point fits in a byte
+    auts = [bytes(range(n)) if small else tuple(range(n))]
     for factor in factors:
         products = auts.copy()
         for p in factor:
-            products += map(itemgetter(*p), auts)
+            if small:  # p o a
+                products += map(bytes.translate, auts, repeat(bytes(p).ljust(256, b"\0")))
+            else:  # a o p
+                products += map(itemgetter(*p), auts)
         auts = products
     auts.sort()
-    return auts
+    return list(map(tuple, auts)) if small else auts
 
 
 def extend_to_automorphism(

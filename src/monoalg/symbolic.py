@@ -301,12 +301,16 @@ _TERM = re.compile(
 
 def parse(text: str) -> SymbolicAlgebra:
     """Read a `+`-sum of terms, each matched whole by _TERM; the first
-    term that does not match is named in the error."""
+    term that does not match is named in the error, cut to its first 60
+    characters and its length when it is longer."""
     comps = []
     for term in text.split("+"):
         m = _TERM.fullmatch(term)
         if m is None:
-            raise ValueError(f"not a shape term: {term.strip()!r}")
+            term = term.strip()
+            if len(term) > 60:
+                raise ValueError(f"not a shape term: {term[:60]!r}... ({len(term)} characters)")
+            raise ValueError(f"not a shape term: {term!r}")
         weight, z, b, a, prefix, tail = m.group("weight", "z", "b", "a", "prefix", "tail")
         if z is not None:
             desc: Descriptor = Profile(int(z))

@@ -11,9 +11,9 @@ import jsonschema
 import pytest
 
 import monoalg
-from monoalg import orbits, schemas
+from monoalg import iso, orbits, schemas
 from monoalg.cli import main
-from monoalg.core import MAX_POINTS
+from monoalg.core import MAX_POINTS, from_text
 
 
 def run(capsys, *argv):
@@ -55,6 +55,18 @@ def test_aut(capsys):
     assert payload["automorphisms"] == [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]]
     code, oracle = run_json(capsys, "aut", "f: 1 2 3 0", "--oracle")
     assert oracle == payload
+
+
+@pytest.mark.parametrize("table", ["f: 8 12 2 2 9 4 12 12 0 5 2 2 12", "f: 0"])
+def test_aut_output_is_what_json_and_str_write(capsys, table):
+    # 2*A[1;3] + Z2 + Z3 relabelled (432 automorphisms of 13 points), and n = 1
+    auts = iso.enumerate_automorphisms(from_text(table))
+    code, out, _ = run(capsys, "aut", table, "--json")
+    assert code == 0
+    assert out == json.dumps({"count": len(auts), "automorphisms": auts}) + "\n"
+    code, out, _ = run(capsys, "aut", table)
+    assert code == 0
+    assert out == "\n".join(str(list(p)) for p in auts) + "\n"
 
 
 def test_orbits(capsys):
@@ -139,6 +151,12 @@ def test_check_error_paths(capsys):
     assert code == 2
     code, _, err = run(capsys, "check", "uh", "f: 9 9")
     assert code == 2 and "error:" in err
+
+
+def test_long_syntax_error_is_quoted_short(capsys):
+    code, _, err = run(capsys, "check", "uh", "A[1;" + "1," * 20_000)
+    assert code == 2 and "not a shape term" in err and "(40004 characters)" in err
+    assert len(err.encode()) < 300
 
 
 def test_classify(capsys):

@@ -251,6 +251,27 @@ def test_group_orders_above_brute_force_reach(text, order):
     assert auts == sorted(auts)
 
 
+def test_groups_on_either_side_of_256_points():
+    """Up to 256 points the products are composed as bytes, above as
+    tuples.  A rigid path pads 2*A[1;3], relabelled, to 256 and 257
+    points; the group component takes the top numbers, so 255 and 256
+    are moved."""
+    G = _relabelled(symbolic.instantiate(symbolic.parse("2*A[1;3]"), 1), random.Random(256))
+    on_component = []
+    for n in (256, 257):
+        top = n - G.n
+        A = validate([0] + list(range(top - 1)) + [top + y for y in G.table])
+        auts = iso.enumerate_automorphisms(A)
+        assert len(auts) == len(set(auts)) == 2 * 6**2  # swap the components, permute each one's 3 leaves
+        assert auts == sorted(auts)
+        f = A.table
+        for p in auts:
+            assert tuple(map(p.__getitem__, f)) == tuple(map(f.__getitem__, p))
+            assert p[:top] == tuple(range(top))
+        on_component.append([tuple(x - top for x in p[top:]) for p in auts])
+    assert on_component[0] == on_component[1] == iso.brute_force_automorphisms(G)
+
+
 def test_extend_to_automorphism():
     A = validate([0, 0, 0])
     assert iso.extend_to_automorphism(A, {1: 2}) == (0, 2, 1)
