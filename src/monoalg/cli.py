@@ -168,7 +168,7 @@ def _cmd_orbits(args) -> int:
 
     A = _load_total(args.algebra)
     profile, orbit = orbits._orbit_walk(A, args.n)  # one skeleton and one unmarked labelling
-    blocks = [list(b) for b in orbits._blocks(orbit)]
+    blocks = [list(b) for b in core.group_points(orbit)]
     _emit(
         args,
         {"profile": profile, "one_orbits": blocks},

@@ -123,10 +123,6 @@ def validate(raw: Sequence[int]) -> FiniteMonounary:
     return FiniteMonounary(tuple(raw))
 
 
-def validate_partial(raw: Sequence[Union[int, None]]) -> PartialMonounary:
-    return PartialMonounary(tuple(raw))
-
-
 def random_algebra(n: int, seed: int) -> FiniteMonounary:
     """Uniform over raw tables (not over isomorphism classes)."""
     if n < 1:
@@ -235,13 +231,6 @@ class Skeleton:
                 kids[v].append(x)
         return kids
 
-    def blocks(self) -> list[list[int]]:
-        """Elements of each component, ascending, indexed like `cycles`."""
-        out: list[list[int]] = [[] for _ in self.cycles]
-        for x, c in enumerate(self.comp):
-            out[c].append(x)
-        return out
-
     def tree_above(self, z: int) -> list[int]:
         """z plus every acyclic element whose forward orbit reaches z
         before it reaches a cycle, ascending."""
@@ -252,23 +241,14 @@ class Skeleton:
         return sorted(block)
 
 
-def cyclic_mask(A: FiniteMonounary) -> tuple[bool, ...]:
-    """mask[x] is True iff some positive power of f fixes x."""
-    return tuple(map(bool, Skeleton(A.table).cyclic))
-
-
-def heights(A: FiniteMonounary) -> tuple[int, ...]:
-    """Least k with f^k(x) cyclic, per element."""
-    return tuple(Skeleton(A.table).height)
-
-
-def components(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
-    """Connected components as sorted blocks, sorted by least element.
-
-    Each component contains exactly one cycle; the block is that cycle
-    plus everything whose forward orbit falls into it.
-    """
-    return tuple(sorted(tuple(b) for b in Skeleton(A.table).blocks()))
+def group_points(key: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The points grouped by their int key (a component or orbit number),
+    blocks and block list both ascending: a dict keeps its blocks in the
+    order of their least points."""
+    blocks: dict[int, list[int]] = {}
+    for x, k in enumerate(key):
+        blocks.setdefault(k, []).append(x)
+    return tuple(map(tuple, blocks.values()))
 
 
 class MinimalGenerators(NamedTuple):
@@ -295,15 +275,16 @@ class StructureReport(NamedTuple):
 
 def structure_report(A: FiniteMonounary) -> StructureReport:
     sk = Skeleton(A.table)
-    blocks = sk.blocks()
-    comps = tuple(sorted(tuple(b) for b in blocks))
+    degree = sk.degree
     points = range(A.n)
-    leaves = frozenset(compress(points, map(not_, sk.degree)))
+    leaves = frozenset(compress(points, map(not_, degree)))
+    # a component is purely cyclic iff each cycle point's one preimage is
+    # its cycle predecessor
     purely_cyclic = tuple(
-        frozenset(b) for b, c in zip(blocks, sk.cycles) if len(b) == len(c)
+        frozenset(c) for c in sk.cycles if all(degree[x] == 1 for x in c)
     )
     return StructureReport(
-        components=comps,
+        components=group_points(sk.comp),
         cyclic=frozenset(compress(points, sk.cyclic)),
         heights=tuple(sk.height),
         height=max(sk.height),
@@ -341,31 +322,6 @@ def subalgebra(A: FiniteMonounary, elements: Iterable[int]) -> tuple[FiniteMonou
             raise ValueError(f"subset not closed: f({x}) = {v} escapes")
         tab.append(idx[v])
     return FiniteMonounary(tuple(tab)), elems
-
-
-def partial_restrict(alg: Algebra, elements: Iterable[int]) -> tuple[PartialMonounary, tuple[int, ...]]:
-    """Induced partial structure on an arbitrary subset."""
-    elems = tuple(sorted(set(elements)))
-    if not elems:
-        raise ValueError("empty subset")
-    idx = {x: i for i, x in enumerate(elems)}
-    for x in elems:
-        if not 0 <= x < alg.n:
-            raise ValueError(f"element out of range: {x}")
-    tab = tuple(
-        idx[alg.table[x]] if alg.table[x] is not None and alg.table[x] in idx else None
-        for x in elems
-    )
-    return PartialMonounary(tab), elems
-
-
-def upper_set(A: FiniteMonounary, z: int) -> tuple[PartialMonounary, tuple[int, ...]]:
-    """The tree hanging above z: z plus every acyclic element whose forward
-    orbit reaches z without first touching a cycle.  Restriction is partial
-    (the image of z itself usually escapes)."""
-    if not 0 <= z < A.n:
-        raise ValueError(f"element out of range: {z}")
-    return partial_restrict(A, Skeleton(A.table).tree_above(z))
 
 
 # ---------------------------------------------------------------------------

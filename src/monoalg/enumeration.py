@@ -195,6 +195,8 @@ def load_corpus(path: str) -> Corpus:
             n, count = int(fields["n"]), int(fields["count"])
         except (KeyError, ValueError):
             raise ValueError(f"{path}, line 1: expected the corpus header '# n=N count=C', got {header!r}") from None
+        if n < 1:
+            raise ValueError(f"{path}, line 1: n={n}, but an algebra has at least one point")
         reps = []
         for lineno, line in enumerate(fh, 2):
             if not line.strip():

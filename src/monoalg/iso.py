@@ -186,21 +186,17 @@ def _label(
     return labels, seqs, rots, (tuple(entries), tuple(sorted(seqs)))
 
 
-def table_certificate(table: Sequence[int]) -> Certificate:
-    """Certificate straight from a raw table (hot path for enumeration)."""
-    return label(Skeleton(table))[3]
+def table_certificate(table: Sequence[int], xs: Sequence[int] = ()) -> Certificate:
+    """Certificate straight from a raw table (hot path for enumeration),
+    with the points of `xs` marked by their positions.
 
-
-def marked_certificate(A: FiniteMonounary, xs: Sequence[int]) -> Certificate:
-    """Certificate of A with the elements of `xs` marked by their positions.
-
-    Equal marked certificates of (A, xs) and (B, ys) hold iff some
+    The certificates of (A, xs) and (B, ys) are equal iff some
     isomorphism A -> B maps xs[i] to ys[i] for every i.
     """
     for x in xs:
-        if not 0 <= x < A.n:
+        if not 0 <= x < len(table):
             raise ValueError(f"marked element out of range: {x}")
-    return label(Skeleton(A.table), xs)[3]
+    return label(Skeleton(table), xs)[3]
 
 
 def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Sequence
 
 from . import iso
-from .core import FiniteMonounary, Skeleton
+from .core import FiniteMonounary, Skeleton, group_points
 from .iso import brute_force_automorphisms
 
 # the orbit walk limit: one orbit_profile walk counts tuples of at most
@@ -45,19 +45,10 @@ def _point_orbits(sk: Skeleton, xs: Sequence[int] = ()) -> list[int]:
     return orbit
 
 
-def _blocks(orbit: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The elements grouped by orbit number, blocks and block list both
-    ascending."""
-    blocks: dict[int, list[int]] = {}
-    for x, o in enumerate(orbit):
-        blocks.setdefault(o, []).append(x)
-    return tuple(sorted(map(tuple, blocks.values())))
-
-
 def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     """Partition of the domain into automorphism orbits, blocks and
     block list both ascending."""
-    return _blocks(_point_orbits(Skeleton(A.table)))
+    return group_points(_point_orbits(Skeleton(A.table)))
 
 
 def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
@@ -157,8 +148,3 @@ def n_orbit_count_bruteforce(
             if ri != rj:
                 parent[ri] = rj
     return sum(1 for i in range(total) if find(i) == i)
-
-
-def is_transitive(A: FiniteMonounary) -> bool:
-    return len(one_orbits(A)) == 1
-

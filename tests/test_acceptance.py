@@ -9,7 +9,7 @@ import time
 from itertools import product
 
 from monoalg import core, enumeration, homogeneity, iso, orbits, semilinear, symbolic
-from monoalg.core import FiniteMonounary, validate, validate_partial
+from monoalg.core import FiniteMonounary, PartialMonounary, validate
 from monoalg.symbolic import NotUltrahomogeneous, Profile
 from oracles import digraph_uh
 
@@ -109,9 +109,10 @@ def test_criterion_04_orbit_counts(corpus, capsys):
     checked = 0
     for n in range(1, 7):
         for A in corpus[n]:
-            if len(core.components(A)) == 1 and homogeneity.is_ultrahomogeneous(A):
+            rep = core.structure_report(A)
+            if len(rep.components) == 1 and homogeneity.is_ultrahomogeneous(A):
                 checked += 1
-                if orbits.n_orbit_count(A, 1) != max(core.heights(A)) + 1:
+                if orbits.n_orbit_count(A, 1) != rep.height + 1:
                     ok = False
     ok = ok and checked > 0
     _verdict(
@@ -129,7 +130,7 @@ def test_criterion_05_order_automorphisms(corpus, capsys):
     ok = True
     for n in range(1, 7):
         for A in corpus[n]:
-            cyc = core.cyclic_mask(A)
+            cyc = core.Skeleton(A.table).cyclic
             for c in range(A.n):
                 if cyc[c]:
                     pairs += 1
@@ -207,7 +208,7 @@ def test_criterion_08_pseudoforest_oracle(capsys):
         options = [[None] + [v for v in range(n) if v != x] for x in range(n)]
         for tab in product(*options):
             total += 1
-            got = homogeneity.pseudoforest_ultrahomogeneous(validate_partial(tab))
+            got = homogeneity.pseudoforest_ultrahomogeneous(PartialMonounary(tab))
             if got != digraph_uh(tab):
                 mismatches += 1
     ok = total == 3413 and mismatches == 0

@@ -16,7 +16,6 @@ from monoalg.core import (
     PartialMonounary,
     Skeleton,
     validate,
-    validate_partial,
 )
 from oracles import symmetric_tables, tables
 
@@ -41,10 +40,10 @@ def test_validate_rejects_bad_tables():
 
 
 def test_partial_allows_none_only():
-    p = validate_partial([None, 0, None])
+    p = PartialMonounary((None, 0, None))
     assert p.domain() == (1,)
     with pytest.raises(ValueError):
-        validate_partial([None, 3, 0])
+        PartialMonounary((None, 3, 0))
 
 
 def test_validation_errors_are_unchanged():
@@ -91,7 +90,7 @@ def test_value_semantics():
     assert A != P and P != A
     assert FiniteMonounary((1, 0)) == validate([1, 0])
     assert hash(FiniteMonounary((1, 0))) == hash(validate([1, 0]))
-    assert hash(PartialMonounary((None, 0))) == hash(validate_partial([None, 0]))
+    assert hash(PartialMonounary((None, 0))) == hash(PartialMonounary((None, 0)))
     assert len({A, FiniteMonounary((0,)), P}) == 2
     for target in (A, P):
         with pytest.raises(AttributeError):
@@ -204,28 +203,13 @@ def test_subalgebra_reindexes_closed_sets():
         core.subalgebra(A, [3])
 
 
-def test_partial_restrict_keeps_only_internal_values():
-    A = validate([0, 0, 0, 1])
-    P, elems = core.partial_restrict(A, [1, 3])
-    assert elems == (1, 3)
-    # f(1) = 0 escapes, f(3) = 1 stays
-    assert P.table == (None, 0)
-    with pytest.raises(ValueError):
-        core.partial_restrict(A, [])
-
-
-def test_upper_set_is_the_tree_above_a_point():
-    A = validate([0, 0, 0, 1])
-    P, elems = core.upper_set(A, 1)
-    assert elems == (1, 3)
-    assert P.table == (None, 0)
-    P0, elems0 = core.upper_set(A, 0)
-    assert elems0 == (0, 1, 2, 3)
-    # the loop at the root stays defined
-    assert P0.table == (0, 0, 0, 1)
-    Pz, elemsz = core.upper_set(validate([1, 2, 0]), 1)
-    assert elemsz == (1,)
-    assert Pz.table == (None,)
+def test_tree_above_a_point():
+    sk = Skeleton((0, 0, 0, 1))
+    assert sk.tree_above(1) == [1, 3]
+    # the loop at the root: every acyclic point reaches 0
+    assert sk.tree_above(0) == [0, 1, 2, 3]
+    # a cycle point's own cycle predecessors are not above it
+    assert Skeleton((1, 2, 0)).tree_above(1) == [1]
 
 
 @given(tables())
@@ -279,13 +263,34 @@ def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
         assert list(Skeleton(raw).table) == list(raw)
 
 
-@given(tables())
-@settings(max_examples=50, deadline=None)
+@given(tables() | symmetric_tables(8, 60))
+@settings(max_examples=80, deadline=None)
 def test_component_blocks_are_closed(tab):
+    """Each component block is closed under f; two points share a block
+    iff f^n sends them onto the same cycle; and the cycle choices of the
+    minimal generating sets are exactly the blocks inside the cyclic
+    points."""
+    n = len(tab)
     A = FiniteMonounary(tab)
-    for block in core.components(A):
+    rep = core.structure_report(A)
+    for block in rep.components:
         inset = set(block)
         assert all(A(x) in inset for x in block)
+    cycle_of = []
+    for x in range(n):
+        for _ in range(n):  # n steps from any point land on its cycle
+            x = tab[x]
+        cycle = {x}
+        while tab[x] not in cycle:
+            x = tab[x]
+            cycle.add(x)
+        cycle_of.append(frozenset(cycle))
+    block_of = {x: b for b in rep.components for x in b}
+    for x in range(n):
+        for y in range(n):
+            assert (block_of[x] == block_of[y]) == (cycle_of[x] == cycle_of[y])
+    inside = [frozenset(b) for b in rep.components if rep.cyclic.issuperset(b)]
+    assert list(rep.min_generating.cycle_choices) == inside
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +305,7 @@ def test_json_and_text_round_trip(tab):
 
 
 def test_partial_round_trip():
-    P = validate_partial([None, 0, 1])
+    P = PartialMonounary((None, 0, 1))
     assert core.from_json(core.to_json(P)) == P
     assert core.to_text(P) == "f: - 0 1"
     assert core.from_text("f: - 0 1") == P
@@ -319,5 +324,5 @@ def test_relational_form_and_dot():
     dot = core.to_dot(A)
     assert dot.startswith("digraph")
     assert "0 -> 1;" in dot and "1 -> 1;" in dot
-    P = validate_partial([None, 0])
+    P = PartialMonounary((None, 0))
     assert core.relational_form(P) == ((1, 0),)

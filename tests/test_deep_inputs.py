@@ -80,13 +80,13 @@ def test_labelling_stays_linear_at_a_high_degree_node():
     assert iso.are_isomorphic(FiniteMonounary(table), FiniteMonounary(copy))
 
 
-def test_tree_order_and_upper_set_stay_linear_on_a_long_path():
+def test_tree_order_and_tree_above_stay_linear_on_a_long_path():
     A = FiniteMonounary(_path(100_000))
     start = time.perf_counter()
     assert len(semilinear.build_order(A, 0).covers) == 99_999
     assert time.perf_counter() - start < 2
     start = time.perf_counter()
-    assert len(core.upper_set(A, 1)[1]) == 99_999
+    assert len(core.Skeleton(A.table).tree_above(1)) == 99_999
     assert time.perf_counter() - start < 2
 
 
@@ -142,4 +142,4 @@ def test_long_path_has_only_the_identity():
 
 def test_certificates_stay_flat():
     assert _depth(iso.table_certificate(DEEP["path-10k"])) <= 3
-    assert _depth(iso.marked_certificate(FiniteMonounary(DEEP["path-10k"]), (9999, 0))) <= 3
+    assert _depth(iso.table_certificate(DEEP["path-10k"], (9999, 0))) <= 3

@@ -100,3 +100,8 @@ def test_load_corpus_header_needs_n(tmp_path):
     path.write_text("# count=1\n0\n")
     with pytest.raises(ValueError, match="line 1: expected the corpus header"):
         enumeration.load_corpus(str(path))
+    # no algebra has fewer than one point
+    for n in (0, -2):
+        path.write_text(f"# n={n} count=0\n")
+        with pytest.raises(ValueError, match=f"line 1: n={n}, but an algebra has at least one point"):
+            enumeration.load_corpus(str(path))

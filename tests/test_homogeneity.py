@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from monoalg import homogeneity as hom
-from monoalg.core import FiniteMonounary, validate, validate_partial
+from monoalg.core import FiniteMonounary, PartialMonounary, validate
 from oracles import tables
 
 
@@ -149,22 +149,22 @@ def test_bounds_and_arity_errors():
 # loop-free partial algebras
 
 def test_pseudoforest_patterns():
-    assert hom.pseudoforest_ultrahomogeneous(validate_partial([1, 0, 3, 2]))
-    assert hom.pseudoforest_ultrahomogeneous(validate_partial([1, 2, 0, 4, 5, 3]))
-    assert hom.pseudoforest_ultrahomogeneous(validate_partial([1, 2, 3, 0]))
-    assert hom.pseudoforest_ultrahomogeneous(validate_partial([None, None]))
-    assert not hom.pseudoforest_ultrahomogeneous(validate_partial([1, 2, 3, 4, 0]))
-    assert not hom.pseudoforest_ultrahomogeneous(validate_partial([1, 0, None]))
+    assert hom.pseudoforest_ultrahomogeneous(PartialMonounary((1, 0, 3, 2)))
+    assert hom.pseudoforest_ultrahomogeneous(PartialMonounary((1, 2, 0, 4, 5, 3)))
+    assert hom.pseudoforest_ultrahomogeneous(PartialMonounary((1, 2, 3, 0)))
+    assert hom.pseudoforest_ultrahomogeneous(PartialMonounary((None, None)))
+    assert not hom.pseudoforest_ultrahomogeneous(PartialMonounary((1, 2, 3, 4, 0)))
+    assert not hom.pseudoforest_ultrahomogeneous(PartialMonounary((1, 0, None)))
     # two 4-cycles, or mixed 2- and 3-cycles, fail
     assert not hom.pseudoforest_ultrahomogeneous(
-        validate_partial([1, 2, 3, 0, 5, 6, 7, 4])
+        PartialMonounary((1, 2, 3, 0, 5, 6, 7, 4))
     )
-    assert not hom.pseudoforest_ultrahomogeneous(validate_partial([1, 0, 3, 4, 2]))
+    assert not hom.pseudoforest_ultrahomogeneous(PartialMonounary((1, 0, 3, 4, 2)))
 
 
 def test_pseudoforest_rejects_loops():
     with pytest.raises(ValueError, match="loop"):
-        hom.pseudoforest_ultrahomogeneous(validate_partial([0, None]))
+        hom.pseudoforest_ultrahomogeneous(PartialMonounary((0, None)))
 
 
 def test_pseudoforest_matches_digraph_oracle_small():
@@ -172,7 +172,7 @@ def test_pseudoforest_matches_digraph_oracle_small():
 
     for n in range(1, 5):
         for tab in product(*[[None] + [v for v in range(n) if v != x] for x in range(n)]):
-            P = validate_partial(tab)
+            P = PartialMonounary(tab)
             assert hom.pseudoforest_ultrahomogeneous(P) == digraph_uh(tab), tab
 
 

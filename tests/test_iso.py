@@ -91,22 +91,26 @@ def test_repeated_marks_follow_a_relabelling(tab, data):
     xs = data.draw(st.permutations(xs))
     p = data.draw(st.permutations(range(n)))
     B = FiniteMonounary(tuple(p[tab[q]] for q in inverse(p)))
-    cert = iso.marked_certificate(A, xs)
-    assert cert == iso.marked_certificate(B, [p[x] for x in xs])
+    cert = iso.table_certificate(A.table, xs)
+    assert cert == iso.table_certificate(B.table, [p[x] for x in xs])
     # each entry is a sorted child-label tuple, marks included
     assert all(list(entry) == sorted(entry) for entry in cert[0])
 
 
 def test_marked_certificates_track_positions():
-    A = validate([0, 0, 0])
+    cert = iso.table_certificate
+    A = (0, 0, 0)
     # both leaves look alike until one is marked
-    assert iso.marked_certificate(A, (1,)) == iso.marked_certificate(A, (2,))
-    assert iso.marked_certificate(A, (0,)) != iso.marked_certificate(A, (1,))
-    assert iso.marked_certificate(A, (1, 2)) == iso.marked_certificate(A, (2, 1))
-    B = validate([0, 0, 0, 1])
-    assert iso.marked_certificate(B, (2,)) != iso.marked_certificate(B, (3,))
-    with pytest.raises(ValueError):
-        iso.marked_certificate(A, (5,))
+    assert cert(A, (1,)) == cert(A, (2,))
+    assert cert(A, (0,)) != cert(A, (1,))
+    assert cert(A, (1, 2)) == cert(A, (2, 1))
+    # no marks is the unmarked certificate
+    assert cert(A, ()) == cert(A) != cert(A, (0,))
+    B = (0, 0, 0, 1)
+    assert cert(B, (2,)) != cert(B, (3,))
+    for bad in (5, 3, -1):
+        with pytest.raises(ValueError, match=f"marked element out of range: {bad}"):
+            cert(A, (bad,))
 
 
 @given(tables(max_n=5))
@@ -117,7 +121,7 @@ def test_pointed_certificates_split_into_automorphism_orbits(tab):
     for x in range(A.n):
         for y in range(A.n):
             same_orbit = any(p[x] == y for p in auts)
-            same_cert = iso.marked_certificate(A, (x,)) == iso.marked_certificate(A, (y,))
+            same_cert = iso.table_certificate(tab, (x,)) == iso.table_certificate(tab, (y,))
             assert same_orbit == same_cert
 
 

@@ -37,8 +37,9 @@ def test_trivial_tree_over_proper_cycle():
 
 def test_cover_relation_is_the_operation():
     A = validate([1, 0, 0, 2, 2, 3])
+    cyc = core.Skeleton(A.table).cyclic
     for c in range(A.n):
-        if not core.cyclic_mask(A)[c]:
+        if not cyc[c]:
             continue
         P = semilinear.build_order(A, c)
         expect = {
@@ -64,7 +65,7 @@ def test_aut_equality_examples():
 @settings(max_examples=60, deadline=None)
 def test_covers_generate_the_tree_order(tab):
     A = FiniteMonounary(tab)
-    cyc = core.cyclic_mask(A)
+    cyc = core.Skeleton(tab).cyclic
     for c in range(A.n):
         if not cyc[c]:
             continue
@@ -93,7 +94,7 @@ def test_covers_generate_the_tree_order(tab):
 @settings(max_examples=40, deadline=None)
 def test_order_and_operation_share_automorphisms(tab):
     A = FiniteMonounary(tab)
-    cyc = core.cyclic_mask(A)
+    cyc = core.Skeleton(tab).cyclic
     for c in range(A.n):
         if cyc[c]:
             same, _, _ = semilinear.check_aut_equality(A, c)
