@@ -21,7 +21,7 @@ An algebra argument is a file path (JSON {"n":..,"f":[..]} or a text
 table "f: 0 0 1"), the same two forms inline, "random:N:SEED", or, for
 the verbs that accept shapes, a symbolic sum such as "2*A[3;w,2]+w*B[w]".
 Exit codes: 0 holds/done, 1 property fails, 2 error.  MONOALG_BOUND sets
-the default oracle bound (otherwise 8).
+the default oracle bound (otherwise 8); it and --bound must be at least 1.
 
 Each verb imports only the modules it reads, so a call pays only for
 the code it runs; the parser reads its limits from core.  Work is
@@ -54,12 +54,24 @@ MAX_RANDOM_N = 10**6  # the most the CLI builds: points (random:N, instantiate),
 _SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
 
 
+def _bound(text: str) -> int:
+    """An oracle bound as given to --bound or MONOALG_BOUND: an integer of
+    at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
+
+
 def _default_bound() -> int:
     env = os.environ.get("MONOALG_BOUND")
     try:
-        return int(env) if env else core.DEFAULT_BOUND
-    except ValueError:
-        raise ValueError(f"MONOALG_BOUND must be an integer, got {env!r}") from None
+        return _bound(env) if env else core.DEFAULT_BOUND
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"MONOALG_BOUND {exc}") from None
 
 
 def _load_any(arg: str):
@@ -389,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("algebra")
         p.add_argument("--json", action="store_true")
         if bound:
-            p.add_argument("--bound", type=int, default=default_bound)
+            p.add_argument("--bound", type=_bound, default=default_bound)
         return p
 
     common(sub.add_parser("analyze", help="structural report"), bound=False)

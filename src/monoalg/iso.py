@@ -38,6 +38,16 @@ factor, then composes the factors' permutations in C: on at most 256
 points as byte strings, each factor applied with bytes.translate and
 the products sorted by memcmp, on more points as tuples.
 
+Every function here that takes an algebra or a table reads its
+skeleton from core.skeleton, and the unmarked labelling is kept on the
+skeleton by the first label() call, so a certificate, an isomorphism
+test and an automorphism enumeration on one table peel it and label it
+once.  At
+most two tables' skeletons and unmarked labellings stay alive, about
+11 MiB a table on random 10^5 points (see core.Skeleton); both are
+shared, so read-only.  A marked labelling is built afresh on every
+call, on the shared skeleton.
+
 The labelling builds a child-label list per element, so on 10^5 points
 CPython's cyclic garbage collector would pass over them many times.  It
 could free nothing: nothing the labelling builds refers back to itself,
@@ -46,13 +56,14 @@ the collector's first threshold is therefore labelled with the
 collector paused, and the caller's setting comes back, also when the
 labelling raises.  A smaller table triggers a few cheap young
 collections at most; pausing them gains nothing and only moves the
-caller's full collections.  The enumeration does not pause the
-collector.  On at most 256 points it composes byte strings, which the
-collector does not track, so only the closing conversion to tuples
-triggers collections, and these free nothing.  In one process,
-enumerating A[1;8] and then 4*Z3 + A[1;3,2] peaked at 43.0 MB, and at
-43.3 MB with the collector paused around each call (CPython 3.11).
-Tables themselves are validated at C speed (see core._Monounary).
+caller's full collections.  The enumeration pauses the collector by the
+same rule, counted in automorphisms, for its closing conversion to
+tuples alone: on at most 256 points it composes byte strings, which the
+collector does not track, so only that conversion triggers collections,
+and these free nothing.  Enumerating A[1;8] and then 4*Z3 + A[1;3,2]
+in a fresh process took 148-174 ms without this pause and 88-128 ms
+with it (four runs each, CPython 3.11 on a 2-core host).  Tables
+themselves are validated at C speed (see core._Monounary).
 """
 
 from __future__ import annotations
@@ -60,11 +71,12 @@ from __future__ import annotations
 import gc
 from itertools import groupby, permutations, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
-from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton
+from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, skeleton
 
 Certificate = tuple
+T = TypeVar("T")
 
 DEFAULT_AUT_CAP = 100_000
 
@@ -99,20 +111,34 @@ def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
     return i, (j - i if m == k else k)
 
 
+def _paused(size: int, build: Callable[..., T], *args: object) -> T:
+    """build(*args), with the cyclic garbage collector paused when `size`,
+    the number of objects it builds, is at least ten times the
+    collector's first threshold; the caller's setting comes back, also
+    when build raises."""
+    if not gc.isenabled() or size < 10 * gc.get_threshold()[0]:
+        return build(*args)
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        gc.enable()
+
+
 def label(
     sk: Skeleton, xs: Sequence[int] = ()
 ) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
     """Canonical tree labels, each cycle's label sequence at its least
     rotation and that rotation's (offset, period), both aligned with
     sk.cycles, and the certificate, with xs[i] marked by -1 - i.  Large
-    tables are labelled with the cyclic garbage collector paused."""
-    if not gc.isenabled() or len(sk.table) < 10 * gc.get_threshold()[0]:
-        return _label(sk, xs)
-    gc.disable()
-    try:
-        return _label(sk, xs)
-    finally:
-        gc.enable()
+    tables are labelled with the cyclic garbage collector paused.  The
+    unmarked labelling is kept on sk and returned again on every later
+    call, so it is read-only; a marked one is built afresh each time."""
+    if xs:
+        return _paused(len(sk.table), _label, sk, xs)
+    if sk.unmarked is None:
+        sk.unmarked = _paused(len(sk.table), _label, sk, ())
+    return sk.unmarked
 
 
 def _label(
@@ -193,10 +219,15 @@ def table_certificate(table: Sequence[int], xs: Sequence[int] = ()) -> Certifica
     The certificates of (A, xs) and (B, ys) are equal iff some
     isomorphism A -> B maps xs[i] to ys[i] for every i.
     """
+    table = tuple(table)
+    # core.skeleton keys on the table's value, and 1.0 == 1: without this
+    # check a float table would raise or answer by what was asked before
+    if not set(map(type, table)) <= {int}:
+        raise TypeError("table entries must be ints")
     for x in xs:
         if not 0 <= x < len(table):
             raise ValueError(f"marked element out of range: {x}")
-    return label(Skeleton(table), xs)[3]
+    return label(skeleton(table), xs)[3]
 
 
 def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
@@ -205,7 +236,7 @@ def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
     lengths."""
     if A.n != B.n:
         return False
-    ska, skb = Skeleton(A.table), Skeleton(B.table)
+    ska, skb = skeleton(A.table), skeleton(B.table)
     if list(map(len, ska.levels)) != list(map(len, skb.levels)):
         return False
     if sorted(map(len, ska.cycles)) != sorted(map(len, skb.cycles)):
@@ -274,7 +305,7 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
     sort as the tuples of their bytes, and are turned into tuples last.
     On more points the products are tuples, a o p by itemgetter.
     """
-    sk = Skeleton(A.table)
+    sk = skeleton(A.table)
     labels, seqs, rots, _ = label(sk)
     sizes: list[int] = []  # the group order is their product
 
@@ -363,7 +394,7 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
                 products += map(itemgetter(*p), auts)
         auts = products
     auts.sort()
-    return list(map(tuple, auts)) if small else auts
+    return _paused(len(auts), list, map(tuple, auts)) if small else auts
 
 
 def extend_to_automorphism(
@@ -384,7 +415,7 @@ def extend_to_automorphism(
         m[k] = v
     if len(set(m.values())) != len(m):
         raise ValueError("map is not injective")
-    sk = Skeleton(A.table)
+    sk = skeleton(A.table)
     src, src_seqs, src_rots, cert = label(sk, tuple(m))
     dst, dst_seqs, dst_rots, dst_cert = label(sk, tuple(m.values()))
     if cert != dst_cert:

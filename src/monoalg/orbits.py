@@ -15,7 +15,7 @@ from itertools import product
 from typing import Sequence
 
 from . import iso
-from .core import FiniteMonounary, Skeleton, group_points
+from .core import FiniteMonounary, Skeleton, group_points, skeleton
 from .iso import brute_force_automorphisms
 
 # the orbit walk limit: one orbit_profile walk counts tuples of at most
@@ -48,7 +48,7 @@ def _point_orbits(sk: Skeleton, xs: Sequence[int] = ()) -> list[int]:
 def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
     """Partition of the domain into automorphism orbits, blocks and
     block list both ascending."""
-    return group_points(_point_orbits(Skeleton(A.table)))
+    return group_points(_point_orbits(skeleton(A.table)))
 
 
 def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
@@ -96,7 +96,7 @@ def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
 
     level: list[tuple[int, ...]] = [()]
     reserve(1, 1)  # checked before the skeleton is built
-    sk = Skeleton(A.table)
+    sk = skeleton(A.table)
     first = _point_orbits(sk)  # arity 1's one labelling, xs = ()
     ones = max(first) + 1  # orbit numbers are dense from 0
     for arity in range(1, up_to + 1):

@@ -31,7 +31,7 @@ class InducedPoset(NamedTuple):
 def build_order(A: FiniteMonounary, c: int) -> InducedPoset:
     if not 0 <= c < A.n:
         raise ValueError(f"element out of range: {c}")
-    sk = core.Skeleton(A.table)
+    sk = core.skeleton(A.table)
     if not sk.cyclic[c]:
         raise ValueError(f"{c} is not cyclic")
     elems = tuple(sk.tree_above(c))

@@ -519,7 +519,7 @@ def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
     is the finite UH test: a finite algebra is UH iff its trees are
     uniform level by level and components with equal cycle size are
     isomorphic, and NotUltrahomogeneous names the first violation."""
-    sk = core.Skeleton(A.table)
+    sk = core.skeleton(A.table)
     # acyclic preimages: a cyclic element's one cyclic preimage is not a child
     kids = list(map(sub, sk.degree, sk.cyclic))
     # one pass: every (component, height) bucket must hold one child count

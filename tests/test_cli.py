@@ -260,6 +260,28 @@ def test_bad_bound_env_is_an_error(capsys, monkeypatch):
     assert code == 2 and "MONOALG_BOUND" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_bound_below_one_is_refused_when_parsed(capsys, monkeypatch, value):
+    monkeypatch.setenv("MONOALG_BOUND", value)
+    code, out, err = run(capsys, "classify", "f: 1 0 0")
+    assert code == 2 and not out
+    assert f"MONOALG_BOUND must be an integer of at least 1, got '{value}'" in err
+    monkeypatch.delenv("MONOALG_BOUND")
+    for verb in (["classify"], ["aut", "--oracle"], ["check", "uh", "--oracle"]):
+        argv = [*verb, "f: 1 0 0", "--bound", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"--bound: must be an integer of at least 1, got '{value}'" in capsys.readouterr().err
+
+
+def test_bound_of_one_is_a_bound(capsys):
+    code, _, err = run(capsys, "aut", "f: 0 0", "--oracle", "--bound", "1")
+    assert code == 2 and "bound exceeded: n=2 > 1" in err
+    code, out, _ = run(capsys, "aut", "f: 0", "--oracle", "--bound", "1")
+    assert code == 0 and out
+
+
 def test_missing_file_is_named(capsys, tmp_path):
     missing = str(tmp_path / "NoSuchFile.json")
     code, _, err = run(capsys, "check", "uh", missing)

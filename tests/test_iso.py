@@ -163,6 +163,28 @@ def test_automorphisms_form_a_group(tab):
             assert tuple(p[q[x]] for x in range(A.n)) in auts
 
 
+def test_enumeration_converts_to_tuples_with_the_collector_paused():
+    """40 320 automorphisms are at least ten times the first threshold, so
+    their tuples are built with the collector paused: at most the one
+    young collection that the paused allocations leave due, where each
+    700 tuples would trigger one."""
+    A8 = symbolic.instantiate(symbolic.parse("A[1;8]"), 1)
+    ran = []
+
+    def note(phase, info):
+        if phase == "start":
+            ran.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        auts = iso.enumerate_automorphisms(A8)
+    finally:
+        gc.callbacks.remove(note)
+    assert len(auts) == 40_320 and len(ran) <= 1 and gc.isenabled()
+
+
 def test_kernels_leave_the_collector_as_they_found_it():
     A = random_algebra(10_000, 4)
     sk = Skeleton(A.table)

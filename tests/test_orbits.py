@@ -88,7 +88,7 @@ def test_walk_limit_counts_labelled_points(monkeypatch):
     # one labelling of all 400 000 points per arity at least: refused
     # before the skeleton is built
     with monkeypatch.context() as m:
-        m.setattr(orbits, "Skeleton", None)
+        m.setattr(orbits, "skeleton", None)
         with pytest.raises(ValueError, match="arity 32 needs more than 10000000 labelled points"):
             orbits.orbit_profile(validate([0] * 400_000), 32)
     # 1 + 4615 labellings of 5000 points to arity 2, refused after the first
