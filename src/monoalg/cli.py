@@ -28,7 +28,8 @@ the code it runs; the parser reads its limits from core.  Work is
 bounded by stated limits: random:N and instantiate build at most 10^6
 points, truncate at most 10^6 profiles and level cardinals, counted
 before it builds any, aut lists at most iso.DEFAULT_AUT_CAP
-automorphisms, orbits walks at most orbits.MAX_ORBIT_ARITY coordinates,
+automorphisms and iso.MAX_AUT_ENTRIES (10^7) entries (automorphisms
+times n), orbits walks at most orbits.MAX_ORBIT_ARITY coordinates,
 orbits.MAX_ORBIT_LABELLINGS labellings and orbits.MAX_ORBIT_POINTS
 (10^7) labelled points (labellings times n), and enumerate goes up to
 core.MAX_POINTS points.
@@ -396,98 +397,79 @@ def build_parser() -> argparse.ArgumentParser:
 
     default_bound = _default_bound()  # read for every verb, so a bad value always fails
 
-    def common(p, algebra=True, bound=True):
-        if algebra:
-            p.add_argument("algebra")
+    def verb(name, run, **kwargs) -> argparse.ArgumentParser:
+        """The verb's parser, naming `run` as the handler that main calls."""
+        p = sub.add_parser(name, **kwargs)
+        p.set_defaults(run=run)
+        return p
+
+    def operands(p, *names, bound=False) -> None:
+        """The positional operands, --json and, for a verb with an oracle, --bound."""
+        for name in names:
+            p.add_argument(name)
         p.add_argument("--json", action="store_true")
         if bound:
             p.add_argument("--bound", type=_bound, default=default_bound)
-        return p
 
-    common(sub.add_parser("analyze", help="structural report"), bound=False)
+    operands(verb("analyze", _cmd_analyze, help="structural report"), "algebra")
 
-    p = sub.add_parser("iso", help="isomorphism test")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--json", action="store_true")
+    operands(verb("iso", _cmd_iso, help="isomorphism test"), "left", "right")
 
-    p = common(sub.add_parser("aut", help="list automorphisms"))
+    p = verb("aut", _cmd_aut, help="list automorphisms")
+    operands(p, "algebra", bound=True)
     p.add_argument("--oracle", action="store_true", help="brute-force filter")
 
-    p = common(sub.add_parser("orbits", help="orbit profile"), bound=False)
+    p = verb("orbits", _cmd_orbits, help="orbit profile")
+    operands(p, "algebra")
     p.add_argument("--n", type=int, default=1, help="largest tuple arity")
 
-    p = common(sub.add_parser("check", help="decide a property"), algebra=False)
-    p.add_argument(
-        "property",
-        choices=[
-            "uh", "hom", "hom-n", "phom", "phom-n", "transitive",
-            "omega-cat", "lf", "ulf", "pf-uh",
-        ],
-    )
-    p.add_argument("algebra")
+    p = verb("check", _cmd_check, help="decide a property")
+    p.add_argument("property", choices=[
+        "uh", "hom", "hom-n", "phom", "phom-n", "transitive", "omega-cat", "lf", "ulf", "pf-uh",
+    ])
+    operands(p, "algebra", bound=True)
     p.add_argument("--k", type=int)
     p.add_argument("--oracle", action="store_true", help="definition-level search")
 
-    common(sub.add_parser("classify", help="full homogeneity lattice report"))
+    operands(verb("classify", _cmd_classify, help="full homogeneity lattice report"), "algebra", bound=True)
 
-    common(sub.add_parser("decompose", help="symbolic normal form of a UH algebra"), bound=False)
+    operands(verb("decompose", _cmd_decompose, help="symbolic normal form of a UH algebra"), "algebra")
 
-    p = sub.add_parser("limit", help="age-limit family")
+    p = verb("limit", _cmd_limit, help="age-limit family")
     p.add_argument("--k", type=int, default=None, help="indegree bound; omit for all finite algebras")
-    p.add_argument("--json", action="store_true")
+    operands(p)
 
-    p = sub.add_parser("instantiate", help="explicit table from a shape")
-    p.add_argument("shape")
+    p = verb("instantiate", _cmd_instantiate, help="explicit table from a shape")
     p.add_argument("--w", type=int, help="value substituted for w")
-    p.add_argument("--json", action="store_true")
+    operands(p, "shape")
 
-    p = sub.add_parser("truncate", help="cut a shape to bounded height")
+    p = verb("truncate", _cmd_truncate, help="cut a shape to bounded height")
     p.add_argument("shape", nargs="?", default="")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--max-cycle", type=int, default=None)
     p.add_argument("--limit-k", type=int, default=None, help="truncate the k-bounded limit family instead")
-    p.add_argument("--json", action="store_true")
+    operands(p)
 
-    p = sub.add_parser(
-        "enumerate",
-        help=f"all classes up to isomorphism on n <= {core.MAX_POINTS} points, built as multisets"
-        " of cycles of rooted trees, each as its least table",
-    )
+    p = verb("enumerate", _cmd_enumerate, help=f"all classes up to isomorphism on n <= {core.MAX_POINTS} points,"
+             " built as multisets of cycles of rooted trees, each as its least table")
     p.add_argument("--n", type=int, required=True, help=f"number of points, 1..{core.MAX_POINTS}")
     p.add_argument("--out")
 
-    p = common(sub.add_parser("semilinear", help="order on the tree above a cyclic element"))
+    p = verb("semilinear", _cmd_semilinear, help="order on the tree above a cyclic element")
+    operands(p, "algebra", bound=True)
     p.add_argument("--root", type=int, required=True)
 
-    p = sub.add_parser("export-dot", help="digraph form")
+    p = verb("export-dot", _cmd_export_dot, help="digraph form")
     p.add_argument("algebra")
     p.add_argument("--out")
 
     return parser
 
 
-_DISPATCH = {
-    "analyze": _cmd_analyze,
-    "iso": _cmd_iso,
-    "aut": _cmd_aut,
-    "orbits": _cmd_orbits,
-    "check": _cmd_check,
-    "classify": _cmd_classify,
-    "decompose": _cmd_decompose,
-    "limit": _cmd_limit,
-    "instantiate": _cmd_instantiate,
-    "truncate": _cmd_truncate,
-    "enumerate": _cmd_enumerate,
-    "semilinear": _cmd_semilinear,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

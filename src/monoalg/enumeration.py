@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple, Sequence
 
 from .core import MAX_POINTS, FiniteMonounary, Skeleton
+from .iso import _least_rotation
 from .orbits import _point_orbits
 
 
@@ -82,7 +83,7 @@ def _connected_tables(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
         for first in range(tree_upto[m]):
             for rest in _sequences(sizes, tree_upto, m - sizes[first], first):
                 seq = (first,) + rest
-                if any(seq[r:] + seq[:r] < seq for r in range(1, len(seq))):
+                if _least_rotation(seq)[0]:
                     continue  # not the least rotation
                 k = len(seq)
                 table = [(j + 1) % k for j in range(k)]

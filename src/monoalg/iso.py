@@ -33,20 +33,19 @@ The automorphism group factors uniquely into small sets of aligned
 moves, as in a stabilizer chain: swaps of isomorphic components and of
 equal-labelled sibling trees, and the rotations of each cycle by
 multiples of its period.  enumerate_automorphisms multiplies the factor
-sizes into the group order and checks the cap before it builds any
-factor, then composes the factors' permutations in C: on at most 256
-points as byte strings, each factor applied with bytes.translate and
-the products sorted by memcmp, on more points as tuples.
+sizes into the group order and checks it against the cap, and the list's
+size against MAX_AUT_ENTRIES, before it builds any factor, then composes
+the factors' permutations in C: on at most 256 points as byte strings,
+each factor applied with bytes.translate and the products sorted by
+memcmp, on more points as tuples.
 
 Every function here that takes an algebra or a table reads its
 skeleton from core.skeleton, and the unmarked labelling is kept on the
 skeleton by the first label() call, so a certificate, an isomorphism
 test and an automorphism enumeration on one table peel it and label it
-once.  At
-most two tables' skeletons and unmarked labellings stay alive, about
-11 MiB a table on random 10^5 points (see core.Skeleton); both are
-shared, so read-only.  A marked labelling is built afresh on every
-call, on the shared skeleton.
+once.  At most two tables' skeletons and unmarked labellings stay
+alive (their size is stated at core.Skeleton); both are shared, so
+read-only.  A marked labelling is built afresh on every call.
 
 The labelling builds a child-label list per element, so on 10^5 points
 CPython's cyclic garbage collector would pass over them many times.  It
@@ -60,10 +59,7 @@ caller's full collections.  The enumeration pauses the collector by the
 same rule, counted in automorphisms, for its closing conversion to
 tuples alone: on at most 256 points it composes byte strings, which the
 collector does not track, so only that conversion triggers collections,
-and these free nothing.  Enumerating A[1;8] and then 4*Z3 + A[1;3,2]
-in a fresh process took 148-174 ms without this pause and 88-128 ms
-with it (four runs each, CPython 3.11 on a 2-core host).  Tables
-themselves are validated at C speed (see core._Monounary).
+and these free nothing.  Raw tables are checked by core.FiniteMonounary.
 """
 
 from __future__ import annotations
@@ -79,6 +75,7 @@ Certificate = tuple
 T = TypeVar("T")
 
 DEFAULT_AUT_CAP = 100_000
+MAX_AUT_ENTRIES = 10_000_000  # automorphisms times n, the size of the list
 
 
 # ---------------------------------------------------------------------------
@@ -213,17 +210,13 @@ def _label(
 
 
 def table_certificate(table: Sequence[int], xs: Sequence[int] = ()) -> Certificate:
-    """Certificate straight from a raw table (hot path for enumeration),
-    with the points of `xs` marked by their positions.
+    """Certificate straight from a raw table, checked as FiniteMonounary
+    checks it, with the points of `xs` marked by their positions.
 
     The certificates of (A, xs) and (B, ys) are equal iff some
     isomorphism A -> B maps xs[i] to ys[i] for every i.
     """
-    table = tuple(table)
-    # core.skeleton keys on the table's value, and 1.0 == 1: without this
-    # check a float table would raise or answer by what was asked before
-    if not set(map(type, table)) <= {int}:
-        raise TypeError("table entries must be ints")
+    table = FiniteMonounary(table).table
     for x in xs:
         if not 0 <= x < len(table):
             raise ValueError(f"marked element out of range: {x}")
@@ -292,8 +285,9 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
     component swaps come before its rotations, and the sibling runs
     come last, parents first.
 
-    The factor sizes are multiplied first; if the count exceeds `cap`
-    the call fails before any factor permutation is built.
+    The factor sizes are multiplied first; if the count exceeds `cap`,
+    or the count times n exceeds MAX_AUT_ENTRIES, the call fails before
+    any factor permutation is built.
 
     When every point fits in a byte (n <= 256) the products are byte
     strings: a pick p is applied to a product a as a.translate(t), t
@@ -334,8 +328,10 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
         total *= size
         if total > cap:
             raise ValueError(f"automorphism count {total}+ exceeds cap {cap}")
-
     n = A.n
+    if total * n > MAX_AUT_ENTRIES:
+        raise ValueError(f"{total} automorphisms on {n} points exceed the limit of {MAX_AUT_ENTRIES} listed entries")
+
     factors: list[list[list[int]]] = []  # each factor's permutations but the identity
 
     def tree(x: int) -> list[int]:

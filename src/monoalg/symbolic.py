@@ -36,23 +36,24 @@ from .core import FiniteMonounary, _Record
 # ---------------------------------------------------------------------------
 # cardinals
 
-_value = itemgetter(0)  # a Cardinal's value, read in C
+_value = itemgetter(0)  # a Cardinal's payload, read in C
+_INF = float("inf")
 
 
 class Cardinal(tuple):
-    """Natural number or the top value w (encoded as None).
+    """Natural number or the top value w.
 
-    A one-entry tuple underneath, so that hashing one, or a profile's
-    tuple of them, runs in C; equal only to Cardinals."""
+    A one-entry tuple underneath, its payload the number or inf for w,
+    so that hashing one, or a profile's tuple of them, and ordering them
+    (numbers ascending, w on top) run in C; equal only to Cardinals."""
 
     __slots__ = ()
 
     def __new__(cls, value: Optional[int]) -> "Cardinal":
         if value is not None and (not isinstance(value, int) or value < 0):
             raise ValueError(f"bad cardinal: {value!r}")
-        return tuple.__new__(cls, (value,))
+        return tuple.__new__(cls, (_INF if value is None else value,))
 
-    value = property(_value)  # the number, or None for w
     __hash__ = tuple.__hash__
 
     def __eq__(self, other: object) -> bool:
@@ -66,28 +67,17 @@ class Cardinal(tuple):
         return eq if eq is NotImplemented else not eq
 
     @property
+    def value(self) -> Optional[int]:  # the number, or None for w
+        return None if self[0] == _INF else self[0]
+
+    @property
     def is_omega(self) -> bool:
-        return self.value is None
+        return self[0] == _INF
 
     def as_int(self) -> int:
-        if self.value is None:
+        if self[0] == _INF:
             raise ValueError("w is not an integer")
-        return self.value
-
-    def key(self) -> tuple[int, int]:
-        return (1, 0) if self.value is None else (0, self.value)
-
-    def __le__(self, other: "Cardinal") -> bool:
-        return self.key() <= other.key()
-
-    def __lt__(self, other: "Cardinal") -> bool:
-        return self.key() < other.key()
-
-    def __ge__(self, other: "Cardinal") -> bool:
-        return other.__le__(self)
-
-    def __gt__(self, other: "Cardinal") -> bool:
-        return other.__lt__(self)
+        return self[0]
 
     def __add__(self, other: "Cardinal") -> "Cardinal":
         if self.is_omega or other.is_omega:
@@ -192,13 +182,11 @@ Descriptor = Union[Profile, Bee, NSucc]
 
 def _desc_key(d: Descriptor):
     if isinstance(d, Profile):
-        # the prefix orders as its Cardinals do, compared only as far as
-        # two prefixes agree
-        tail_key = (0, 0) if d.tail is None else d.tail.key()
-        return (0, d.cycle, 0 if d.tail is None else 1, d.prefix, tail_key)
+        # the tail is compared only when both tails are set
+        return (0, d.cycle, d.tail is not None, d.prefix, d.tail)
     if isinstance(d, Bee):
-        return (1, d.alpha.key(), 0, (), (0, 0))
-    return (2, 0, 0, (), (0, 0))
+        return (1, d.alpha)
+    return (2,)
 
 
 class CycleFamily(_Record):

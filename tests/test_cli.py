@@ -299,6 +299,17 @@ def test_iso_and_aut_on_a_long_path(capsys, tmp_path):
     assert code == 0 and payload["count"] == 1
 
 
+def test_aut_refuses_a_list_over_its_size_limit(capsys, tmp_path):
+    """A[1;8]'s 40320 automorphisms next to a rigid 300-point path."""
+    path = tmp_path / "a18-path.json"
+    path.write_text(json.dumps({"n": 309, "f": [0] * 9 + [9] + list(range(9, 308))}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "aut", str(path))
+    assert code == 2 and not out
+    assert err == "error: 40320 automorphisms on 309 points exceed the limit of 10000000 listed entries\n"
+    assert time.perf_counter() - start < 1
+
+
 @pytest.mark.parametrize("n", ["true", "1.0"])
 def test_json_n_must_be_an_integer(capsys, n):
     code, out, err = run(capsys, "analyze", f'{{"n": {n}, "f": [0]}}')

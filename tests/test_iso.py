@@ -4,15 +4,42 @@ cross-checked against permutation brute force."""
 import gc
 import random
 import time
+from enum import IntEnum
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monoalg import iso, symbolic
+from monoalg import core, iso, symbolic
 from monoalg.core import FiniteMonounary, Skeleton, random_algebra, validate
 from oracles import exists_iso, inverse, iso_bijections, partial_iso_images, symmetric_tables, tables
+
+
+@pytest.mark.parametrize(
+    "table", [(-1, 0), (5, 0), (), (True, 0), (1.0, 0)], ids=["negative", "too-large", "empty", "bool", "float"]
+)
+def test_raw_tables_are_checked_as_algebras_are(table):
+    """The ValueError FiniteMonounary raises, cold and after equal-valued
+    valid tables were asked for, with and without marks."""
+    with pytest.raises(ValueError) as expected:
+        FiniteMonounary(table)
+    for warm in (False, True):
+        core.skeleton.cache_clear()
+        if warm:
+            iso.table_certificate((1, 0))
+            iso.table_certificate((0, 0))
+        for xs in ((), (0,)):
+            with pytest.raises(ValueError) as got:
+                iso.table_certificate(table, xs)
+            assert str(got.value) == str(expected.value)
+
+
+def test_an_int_enum_table_is_its_int_table():
+    Point = IntEnum("Point", ["a", "b", "c"], start=0)
+    for xs in ((), (0,)):
+        core.skeleton.cache_clear()
+        assert iso.table_certificate((Point.b, Point.c, Point.b), xs) == iso.table_certificate((1, 2, 1), xs)
 
 
 def test_known_pairs():
@@ -231,6 +258,17 @@ def test_cap_refuses_to_materialize():
         iso.brute_force_automorphisms(validate([0] * 9))
 
 
+def test_list_size_is_bounded_before_any_factor_is_built():
+    """A[1;8] (a loop with 8 leaves) has 8! = 40320 automorphisms; next
+    to a rigid 300-point path, listing them would take 40320 * 309
+    entries."""
+    A = validate((0,) * 9 + (9,) + tuple(range(9, 308)))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"40320 automorphisms on 309 points exceed the limit of {iso.MAX_AUT_ENTRIES}"):
+        iso.enumerate_automorphisms(A)
+    assert time.perf_counter() - start < 1
+
+
 def _relabelled(A, rng):
     """A copy of A under a random relabelling drawn from rng."""
     p = list(range(A.n))
@@ -309,6 +347,8 @@ def test_extend_to_automorphism():
         iso.extend_to_automorphism(A, {1: 0, 2: 0})
     with pytest.raises(ValueError):
         iso.extend_to_automorphism(A, {1: 9})
+    with pytest.raises(ValueError, match="conflicting images for 1"):
+        iso.extend_to_automorphism(A, [(1, 1), (1, 2)])
 
 
 def test_extension_reaches_groups_above_the_cap():
@@ -350,3 +390,4 @@ def test_partial_iso_images_follow_the_definition(data):
     subset = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
     S, T = data.draw(subset), data.draw(subset)
     assert list(iso.partial_iso_images(tabs, S, T)) == partial_iso_images(tabs, S, T)
+    assert not list(iso.partial_iso_images(tabs, S, T[:-1]))

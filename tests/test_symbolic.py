@@ -86,10 +86,24 @@ def test_records_keep_their_value_semantics():
     with pytest.raises(TypeError):
         2 * Cardinal(3)
     assert Cardinal(3) > Cardinal(2) and OMEGA >= Cardinal(3) and not Cardinal(2) > OMEGA
+    with pytest.raises(TypeError):
+        Cardinal(2) < 3
     # a record takes exactly its fields
     for values in ((1,), (1, 2)):
         with pytest.raises(TypeError, match=f"NSucc takes 0 values, got {len(values)}"):
             NSucc(*values)
+
+
+def _card_key(c):
+    """The order of cardinals as a key: numbers ascending, w on top."""
+    return (1, 0) if c.is_omega else (0, c.value)
+
+
+@given(st.lists(st.none() | st.integers(0, 20)))
+@settings(max_examples=100, deadline=None)
+def test_cardinals_order_as_numbers_below_w(values):
+    cards = list(map(Cardinal, values))
+    assert sorted(cards) == sorted(cards, key=_card_key)
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +198,24 @@ _descriptors = st.one_of(
     st.builds(Bee, _cards),
     st.builds(Profile, st.integers(1, 12), st.lists(_cards, max_size=4), st.none() | _cards),
 )
+
+
+def _descriptor_key(d):
+    """symbolic()'s order of descriptors: profiles by cycle, tail-free
+    first, then by prefix and tail; then B[a] by a; then N."""
+    if isinstance(d, Profile):
+        tail = (0, 0) if d.tail is None else _card_key(d.tail)
+        return (0, d.cycle, d.tail is not None, tuple(map(_card_key, d.prefix)), tail)
+    if isinstance(d, Bee):
+        return (1, _card_key(d.alpha))
+    return (2,)
+
+
+@given(st.lists(st.tuples(_cards, _descriptors), min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_symbolic_sorts_descriptors_by_their_order(comps):
+    descs = [d for _, d in sym.symbolic(comps).components]
+    assert descs == sorted(descs, key=_descriptor_key)
 
 
 @given(st.lists(st.tuples(_cards, _descriptors), min_size=1, max_size=4).map(sym.symbolic), st.data())
@@ -291,6 +323,9 @@ def test_family_membership_constrains_concrete_components():
     bare = fraisse_limit(1)
     with_z2 = sym.SymbolicAlgebra(((ONE, Profile(2)),), bare.families)
     assert sym.is_ultrahomogeneous(with_z2)
+    # two families of different shapes
+    mixed = sym.SymbolicAlgebra((), F2.families + fraisse_limit(3).families)
+    assert not sym.is_ultrahomogeneous(mixed) and not sym.is_homogeneous(mixed)
 
 
 # ---------------------------------------------------------------------------
