@@ -24,15 +24,9 @@ Exit codes: 0 holds/done, 1 property fails, 2 error.  MONOALG_BOUND sets
 the default oracle bound (otherwise 8); it and --bound must be at least 1.
 
 Each verb imports only the modules it reads, so a call pays only for
-the code it runs; the parser reads its limits from core.  Work is
-bounded by stated limits: random:N and instantiate build at most 10^6
-points, truncate at most 10^6 profiles and level cardinals, counted
-before it builds any, aut lists at most iso.DEFAULT_AUT_CAP
-automorphisms and iso.MAX_AUT_ENTRIES (10^7) entries (automorphisms
-times n), orbits walks at most orbits.MAX_ORBIT_ARITY coordinates,
-orbits.MAX_ORBIT_LABELLINGS labellings and orbits.MAX_ORBIT_POINTS
-(10^7) labelled points (labellings times n), and enumerate goes up to
-core.MAX_POINTS points.
+the code it runs; the parser reads its limits from core.  README's
+Command line section lists the limits that bound each verb's work.
+`check` reads its properties from one table, _PROPERTIES.
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ import json
 import os
 import re
 import sys
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import core
 
@@ -190,64 +184,57 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-# one table of deciders in symbolic for shapes and finite tables; a finite
-# table is decided through its normal form.  This table and _ORACLES
-# (in homogeneity) hold names, so that importing the CLI imports neither.
-_SHAPE_DECIDERS = {
-    "uh": "is_ultrahomogeneous",
-    "hom": "is_homogeneous",
-    "phom": "is_partially_homogeneous",
-    "transitive": "is_transitive",
-    "omega-cat": "is_omega_categorical",
-    "lf": "is_locally_finite",
-    "ulf": "is_ulf",
+class _Property(NamedTuple):
+    """How `check` decides one property.  Functions are named, not held,
+    so that importing the CLI imports neither module."""
+
+    decider: str | None = None  # in symbolic: reads a shape, or a finite table's normal form
+    search: str | None = None  # in homogeneity: definition-level, run under --oracle, or --k if no decider
+    partial: bool = False  # `search` is instead a decider that reads the algebra as loaded, partial or total
+    finite: bool = False  # what a finite table with no normal form, so not UH, answers
+    reports: str | None = None  # the name answered under, when not the property's own
+
+
+# every property `check` decides, in the order its usage line lists them
+_PROPERTIES = {
+    "uh": _Property("is_ultrahomogeneous", "is_ultrahomogeneous_oracle"),
+    "hom": _Property("is_homogeneous"),
+    "hom-n": _Property(search="is_n_homogeneous"),
+    "phom": _Property("is_partially_homogeneous", "is_partially_homogeneous_oracle"),
+    "phom-n": _Property(search="is_partially_n_homogeneous"),
+    "transitive": _Property("is_transitive"),
+    "omega-cat": _Property("is_omega_categorical", finite=True, reports="omega_categorical"),
+    "lf": _Property("is_locally_finite", finite=True),
+    "ulf": _Property("is_ulf", finite=True),
+    "pf-uh": _Property(search="pseudoforest_ultrahomogeneous", partial=True),
 }
-_FINITE_ALWAYS = ("omega-cat", "lf", "ulf")  # what a finite table without normal form still has
-_ORACLES = {
-    "uh": "is_ultrahomogeneous_oracle",
-    "phom": "is_partially_homogeneous_oracle",
-}
-
-
-def _check_finite(args, A: core.FiniteMonounary) -> bool:
-    """The definition-level searches: --oracle, hom-n and phom-n."""
-    from . import homogeneity
-
-    prop, bound = args.property, args.bound
-    if args.oracle:
-        return getattr(homogeneity, _ORACLES[prop])(A, bound)
-    if prop == "hom-n":
-        return homogeneity.is_n_homogeneous(A, _need_k(args), bound)
-    return homogeneity.is_partially_n_homogeneous(A, _need_k(args), bound)
-
-
-def _need_k(args) -> int:
-    if args.k is None:
-        raise ValueError("this property needs --k")
-    return args.k
 
 
 def _cmd_check(args) -> int:
     from . import homogeneity, symbolic
 
-    prop, arg = args.property, args.algebra
-    shape = prop != "pf-uh" and _looks_symbolic(arg)
-    if args.oracle and (prop not in _ORACLES or shape):
+    prop, arg = _PROPERTIES[args.property], args.algebra
+    shape = not prop.partial and _looks_symbolic(arg)
+    if args.oracle and not (prop.decider and prop.search and not shape):
         where = " on a symbolic shape" if shape else ""
-        raise ValueError(f"property {prop!r} has no --oracle{where}; it has one for uh and phom on finite tables")
-    if prop == "pf-uh":
-        alg = _load_any(arg)
-        if isinstance(alg, core.FiniteMonounary):
-            alg = core.PartialMonounary(alg.table)
-        holds = homogeneity.pseudoforest_ultrahomogeneous(alg)
-    elif args.oracle or prop in ("hom-n", "phom-n"):
+        has = " and ".join(name for name, p in _PROPERTIES.items() if p.decider and p.search)
+        raise ValueError(f"property {args.property!r} has no --oracle{where}; it has one for {has} on finite tables")
+    if prop.partial:
+        holds = getattr(homogeneity, prop.search)(_load_any(arg))
+    elif args.oracle or prop.decider is None:
         if shape:
-            raise ValueError(f"property {prop!r} does not apply to a symbolic shape")
-        holds = _check_finite(args, _load_total(arg))
+            raise ValueError(f"property {args.property!r} does not apply to a symbolic shape")
+        A, search = _load_total(arg), getattr(homogeneity, prop.search)
+        if args.oracle:
+            holds = search(A, args.bound)
+        elif args.k is None:
+            raise ValueError("this property needs --k")
+        else:
+            holds = search(A, args.k, args.bound)
     else:
         S = symbolic.parse(arg) if shape else homogeneity.normal_form(_load_total(arg))
-        holds = getattr(symbolic, _SHAPE_DECIDERS[prop])(S) if S is not None else prop in _FINITE_ALWAYS
-    name = {"omega-cat": "omega_categorical"}.get(prop, prop.replace("-", "_"))
+        holds = getattr(symbolic, prop.decider)(S) if S is not None else prop.finite
+    name = prop.reports or args.property.replace("-", "_")
     _emit(args, {"property": name, "holds": holds}, lambda: f"{name}: {str(holds).lower()}")
     return 0 if holds else 1
 
@@ -292,9 +279,9 @@ def _instance_size(S: symbolic.SymbolicAlgebra, w: int) -> int:
         if isinstance(desc, symbolic.Profile) and desc.tail is None:
             level = points = desc.cycle
             for a in desc.prefix:
-                level *= w if a.is_omega else a.as_int()
+                level *= a.substitute(w)
                 points += level
-            total += (w if mult.is_omega else mult.as_int()) * points
+            total += mult.substitute(w) * points
     return total
 
 
@@ -424,9 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1, help="largest tuple arity")
 
     p = verb("check", _cmd_check, help="decide a property")
-    p.add_argument("property", choices=[
-        "uh", "hom", "hom-n", "phom", "phom-n", "transitive", "omega-cat", "lf", "ulf", "pf-uh",
-    ])
+    p.add_argument("property", choices=_PROPERTIES)
     operands(p, "algebra", bound=True)
     p.add_argument("--k", type=int)
     p.add_argument("--oracle", action="store_true", help="definition-level search")

@@ -74,10 +74,9 @@ class Cardinal(tuple):
     def is_omega(self) -> bool:
         return self[0] == _INF
 
-    def as_int(self) -> int:
-        if self[0] == _INF:
-            raise ValueError("w is not an integer")
-        return self[0]
+    def substitute(self, w: int) -> int:
+        """The number, or `w` in place of w."""
+        return w if self[0] == _INF else self[0]
 
     def __add__(self, other: "Cardinal") -> "Cardinal":
         if self.is_omega or other.is_omega:
@@ -453,21 +452,18 @@ def instantiate(S: SymbolicAlgebra, omega_value: int) -> FiniteMonounary:
     if S.families:
         raise ValueError("a limit family has no finite instance")
 
-    def resolve(c: Cardinal) -> int:
-        return omega_value if c.is_omega else c.as_int()
-
     table: list[int] = []
     for mult, desc in S.components:
         if not isinstance(desc, Profile) or desc.tail is not None:
             raise ValueError(f"{show_descriptor(desc)} has no finite instance")
-        for _ in range(resolve(mult)):
+        for _ in range(mult.substitute(omega_value)):
             base = len(table)
             k = desc.cycle
             for i in range(k):
                 table.append(base + (i + 1) % k)
             level = list(range(base, base + k))
             for a in desc.prefix:
-                branches = resolve(a)
+                branches = a.substitute(omega_value)
                 nxt = []
                 for parent in level:
                     for _ in range(branches):

@@ -3,15 +3,18 @@ the modules each verb loads when run as a program."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 import monoalg
-from monoalg import iso, orbits, schemas
+from monoalg import cli, homogeneity, iso, orbits, schemas, symbolic
 from monoalg.cli import main
 from monoalg.core import MAX_POINTS, from_text
 
@@ -177,6 +180,9 @@ def test_symbolic_pipeline(capsys):
     assert code == 0 and out.strip() == "sum_(n>=1) w*A[n;1;2]"
     code, out, _ = run(capsys, "instantiate", "A[1;w,2]", "--w", "3")
     assert code == 0 and out.strip() == "f: 0 0 0 0 1 1 2 2 3 3"
+    for w in ([], ["--w", "0"]):
+        code, out, err = run(capsys, "instantiate", "A[1;2]", *w)
+        assert code == 2 and not out and "--w" in err, w
     code, out, _ = run(capsys, "truncate", "A[2;1;2]", "--height", "3")
     assert code == 0 and out.strip() == "A[2;1,2,2]"
     code, out, _ = run(
@@ -221,6 +227,8 @@ def test_semilinear(capsys):
     assert payload["aut_equality"] is True
     code, _, err = run(capsys, "semilinear", "f: 0 0 0 1", "--root", "3")
     assert code == 2 and "not cyclic" in err
+    code, out, err = run(capsys, "semilinear", "f: 0 0", "--root", "5")
+    assert code == 2 and not out and "element out of range: 5" in err
 
 
 def test_export_dot(capsys, tmp_path):
@@ -350,6 +358,39 @@ def test_oracle_is_refused_where_there_is_none(capsys):
     assert code == 2 and not out and "'transitive'" in err and "--oracle" in err
     code, out, err = run(capsys, "check", "uh", "Z3", "--oracle")
     assert code == 2 and not out and "'uh'" in err and "symbolic shape" in err
+
+
+def test_check_reads_every_property_from_one_table(capsys):
+    """The usage line, the --oracle refusal and the dispatch all read
+    cli._PROPERTIES, so a property written there reaches all three."""
+    with pytest.raises(SystemExit):
+        main(["check", "--help"])
+    usage = capsys.readouterr().out
+    assert re.search(r"\{([^}]*)\}", usage).group(1).split(",") == list(cli._PROPERTIES)
+    both = [name for name, p in cli._PROPERTIES.items() if p.decider and p.search]
+    refusal = f"; it has one for {' and '.join(both)} on finite tables\n"
+    for name, p in cli._PROPERTIES.items():
+        assert p.decider or p.search, name
+        assert p.decider is None or callable(getattr(symbolic, p.decider)), name
+        assert p.search is None or callable(getattr(homogeneity, p.search)), name
+        code, out, err = run(capsys, "check", name, "f: 1 0", "--oracle")
+        if name in both:
+            assert code in (0, 1) and out, name
+        else:
+            assert code == 2 and not out and err.endswith(refusal), name
+
+
+_card = st.sampled_from([1, 2, 3, "w"])
+_instantiable = st.lists(
+    st.tuples(_card, st.builds(symbolic.Profile, st.integers(1, 3), st.lists(_card, max_size=3))),
+    min_size=1, max_size=3,
+).map(symbolic.symbolic)
+
+
+@given(_instantiable, st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_instance_size_is_what_instantiate_builds(S, w):
+    assert cli._instance_size(S, w) == symbolic.instantiate(S, w).n
 
 
 def test_bound_only_on_verbs_with_an_oracle(capsys):

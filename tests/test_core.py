@@ -309,6 +309,9 @@ def test_partial_round_trip():
     assert core.from_json(core.to_json(P)) == P
     assert core.to_text(P) == "f: - 0 1"
     assert core.from_text("f: - 0 1") == P
+    for text in ("f:", "  f:  ", ""):
+        with pytest.raises(ValueError, match="^empty table$"):
+            core.from_text(text)
 
 
 def test_from_json_validates_shape():

@@ -73,6 +73,9 @@ def test_corpus_save_load_round_trip(tmp_path, corpus):
     enumeration.save_corpus(c, str(path))
     back = enumeration.load_corpus(str(path))
     assert back == c
+    # blank lines between the tables are skipped
+    path.write_text(path.read_text().replace("\n", "\n\n"))
+    assert enumeration.load_corpus(str(path)) == c
 
 
 def test_load_corpus_validates_header(tmp_path):

@@ -25,6 +25,8 @@ def test_one_orbits_examples():
 def test_orbit_counts_examples():
     star = validate([0, 0, 0])
     assert orbits.orbit_profile(star, 2) == [2, 5]
+    # with no automorphisms given, the brute force finds its own
+    assert orbits.n_orbit_count_bruteforce(star, 2) == orbits.orbit_profile(star, 2)[-1]
     z3 = validate([1, 2, 0])
     assert orbits.n_orbit_count(z3, 1) == 1
     assert orbits.n_orbit_count(z3, 2) == 3

@@ -106,6 +106,12 @@ def test_cardinals_order_as_numbers_below_w(values):
     assert sorted(cards) == sorted(cards, key=_card_key)
 
 
+@given(st.none() | st.integers(0, 20), st.integers(1, 5))
+@settings(max_examples=50, deadline=None)
+def test_substitute_replaces_w_alone(value, w):
+    assert Cardinal(value).substitute(w) == (w if value is None else value)
+
+
 # ---------------------------------------------------------------------------
 # descriptors and normalization
 
