@@ -23,6 +23,11 @@ the verbs that accept shapes, a symbolic sum such as "2*A[3;w,2]+w*B[w]".
 Exit codes: 0 holds/done, 1 property fails, 2 error.  MONOALG_BOUND sets
 the default oracle bound (otherwise 8); it and --bound must be at least 1.
 
+run() is the process entry, which `python -m monoalg.cli` and the
+`monoalg` script call: it flushes the answer and leaves without the
+interpreter's teardown, and a closed pipe exits 2.  main() is the
+in-process entry, which returns the exit code.
+
 Each verb imports only the modules it reads, so a call pays only for
 the code it runs; the parser reads its limits from core.  README's
 Command line section lists the limits that bound each verb's work.
@@ -194,6 +199,11 @@ class _Property(NamedTuple):
     finite: bool = False  # what a finite table with no normal form, so not UH, answers
     reports: str | None = None  # the name answered under, when not the property's own
 
+    @property
+    def takes_k(self) -> bool:
+        """Whether --k is read: by a search that has no decider to run instead."""
+        return self.decider is None and not self.partial
+
 
 # every property `check` decides, in the order its usage line lists them
 _PROPERTIES = {
@@ -214,16 +224,19 @@ def _cmd_check(args) -> int:
     from . import homogeneity, symbolic
 
     prop, arg = _PROPERTIES[args.property], args.algebra
-    shape = not prop.partial and _looks_symbolic(arg)
+    shape = _looks_symbolic(arg)
     if args.oracle and not (prop.decider and prop.search and not shape):
         where = " on a symbolic shape" if shape else ""
         has = " and ".join(name for name, p in _PROPERTIES.items() if p.decider and p.search)
         raise ValueError(f"property {args.property!r} has no --oracle{where}; it has one for {has} on finite tables")
+    if args.k is not None and not prop.takes_k:
+        has = " and ".join(name for name, p in _PROPERTIES.items() if p.takes_k)
+        raise ValueError(f"property {args.property!r} takes no --k; only {has} do")
+    if shape and prop.decider is None:
+        raise ValueError(f"property {args.property!r} does not apply to a symbolic shape")
     if prop.partial:
         holds = getattr(homogeneity, prop.search)(_load_any(arg))
     elif args.oracle or prop.decider is None:
-        if shape:
-            raise ValueError(f"property {args.property!r} does not apply to a symbolic shape")
         A, search = _load_total(arg), getattr(homogeneity, prop.search)
         if args.oracle:
             holds = search(A, args.bound)
@@ -460,5 +473,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """Run main() as the whole process: flush stdout, then stderr, and
+    leave with os._exit, so that the interpreter frees no table or module
+    one object at a time after the answer is written.  A closed pipe on
+    the closing flush is reported as an error (exit 2).  An exception
+    that main does not catch, SystemExit included, propagates through the
+    normal interpreter exit."""
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:
+        if code != 2:  # main has reported no error yet; when it has, this is one more sign of it
+            print(f"error: {exc}", file=sys.stderr)
+        code = 2
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

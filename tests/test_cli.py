@@ -156,6 +156,26 @@ def test_check_error_paths(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_check_refuses_k_where_no_search_reads_it(capsys):
+    """--k is read only by a search with no decider (hom-n and phom-n,
+    without --oracle); everywhere else it is refused, not ignored."""
+    takes = [name for name, p in cli._PROPERTIES.items() if p.takes_k]
+    assert takes == ["hom-n", "phom-n"]
+    refusal = f"takes no --k; only {' and '.join(takes)} do\n"
+    for argv in (["uh", "f: 1 2 0", "--k", "2"], ["lf", "B[w]", "--k", "0"], ["uh", "f: 1 2 0", "--oracle", "--k", "2"]):
+        code, out, err = run(capsys, "check", *argv)
+        assert code == 2 and not out and err == f"error: property {argv[0]!r} {refusal}", argv
+    for name in cli._PROPERTIES.keys() - takes:
+        code, out, err = run(capsys, "check", name, "f: 1 0", "--k", "1")
+        assert code == 2 and not out and err.endswith(refusal), name
+
+
+@pytest.mark.parametrize("shape", ["Z3", "B[w]"])
+def test_pseudoforest_check_refuses_a_shape(capsys, shape):
+    code, out, err = run(capsys, "check", "pf-uh", shape)
+    assert (code, out, err) == (2, "", "error: property 'pf-uh' does not apply to a symbolic shape\n")
+
+
 def test_long_syntax_error_is_quoted_short(capsys):
     code, _, err = run(capsys, "check", "uh", "A[1;" + "1," * 20_000)
     assert code == 2 and "not a shape term" in err and "(40004 characters)" in err
@@ -448,12 +468,15 @@ VERB_CALLS = [
 ]
 
 
+# the environment a program run needs: the package on its path
+PROGRAM_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monoalg.__file__)))
+
+
 @pytest.mark.parametrize("argv, modules", VERB_CALLS, ids=[argv[0] for argv, _ in VERB_CALLS])
 def test_verb_as_a_program_loads_only_what_it_reads(argv, modules):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monoalg.__file__)))
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "monoalg.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=PROGRAM_ENV, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     if argv[0] in schemas.BY_VERB:
@@ -471,15 +494,63 @@ def test_runtime_is_stdlib_only():
     -S leaves site-packages off the path and its start-up hooks out of the
     interpreter, so a third-party import fails outright, and any other
     module loaded must be one of the standard library's."""
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monoalg.__file__)))
     script = (
         "import importlib, pkgutil, sys, monoalg\n"
         "for m in pkgutil.iter_modules(monoalg.__path__):\n"
         "    importlib.import_module('monoalg.' + m.name)\n"
         "print(' '.join(sorted({name.partition('.')[0] for name in sys.modules} - {'__main__'})))\n"
     )
-    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, env=PROGRAM_ENV, timeout=60)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "monoalg" in loaded
     assert loaded - {"monoalg"} <= set(sys.stdlib_module_names)
+
+
+# cli.run() ends its process with os._exit, so it is run only as a program
+PROCESS_CALLS = [argv for argv, _ in VERB_CALLS] + [
+    ["aut", "f: 0 0 0 0 0 0 0 0"],  # 5040 rows, more than any buffer holds
+    ["enumerate", "--n", "6"],
+    ["iso", "f: 0 0 0", "f: 1 0 0"],  # exit 1
+    ["analyze", "f: 3"],  # exit 2
+]
+
+
+@pytest.mark.parametrize("argv", PROCESS_CALLS, ids=[" ".join(argv[:2]) for argv in PROCESS_CALLS])
+def test_program_answers_as_main_does(capsys, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "monoalg.cli", *argv], capture_output=True, text=True, env=PROGRAM_ENV, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+
+
+def test_program_calls_cover_every_exit_code(capsys):
+    assert {run(capsys, *argv)[0] for argv in PROCESS_CALLS} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("argv, lines", [(["enumerate", "--n", "9"], 1), (["analyze", "f: 1 0 0"], 0)])
+def test_a_closed_pipe_exits_2(argv, lines, unbuffered):
+    """A reader that takes `lines` lines and closes the pipe: the program
+    reports the closed pipe once and exits 2, with no traceback.  A
+    buffered short answer meets the closed pipe only on run()'s closing
+    flush; an unbuffered one, or a long one, inside main."""
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe's size cannot be set here")
+    env = {k: v for k, v in PROGRAM_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    # one page: enumerate's 47 kB cannot all sit in the pipe when the reader leaves
+    fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 4096)
+    with open(r, "rb") as reader:
+        if not lines:
+            reader.close()
+        with subprocess.Popen([sys.executable, "-m", "monoalg.cli", *argv], stdout=w, stderr=subprocess.PIPE, env=env) as proc:
+            os.close(w)
+            for _ in range(lines):
+                assert reader.readline()
+            reader.close()
+            _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
