@@ -1,0 +1,44 @@
+"""Answers pinned by digest: the sha256 of repr() of each answer, as
+computed before the skeleton was stored as flat arrays.  A change to how
+the skeleton or the labelling is held must leave every one of these
+byte-identical."""
+
+import hashlib
+
+from monoalg import iso, orbits, symbolic
+from monoalg.core import random_algebra
+from monoalg.enumeration import enumerate_up_to_iso
+
+
+def _digest(answer) -> str:
+    return hashlib.sha256(repr(answer).encode()).hexdigest()
+
+
+def test_certificates_of_every_class_up_to_7_points():
+    certs = [
+        iso.table_certificate(A.table)
+        for n in range(1, 8)
+        for A in enumerate_up_to_iso(n).representatives
+    ]
+    assert len(certs) == 550
+    assert _digest(certs) == "48924420f1b777f9a09e90e8059ccb24c24458d1734c71418fb4e9184cd13efc"
+
+
+def test_answers_on_a_random_10_5_point_table():
+    A = random_algebra(100_000, 1)
+    assert _digest(iso.table_certificate(A.table)) == (
+        "2a13df4815f85e215ef247da9c3de27816ad0c2b3e0edbd6aba8691c83cadf5d"
+    )
+    assert _digest(iso.table_certificate(A.table, (5, 0, 99_999, 5))) == (
+        "f0c8649e40112fab59d2b01c5fbfc02b0fb6dce15b70290c64cbe97ea08faa56"
+    )
+    assert _digest(orbits.one_orbits(A)) == (
+        "a07383a21169bbf66e7d4f99313763df395a7459100fd0df76f0a40706612d8a"
+    )
+
+
+def test_decomposition_of_a_uniform_tree_shape():
+    A = symbolic.instantiate(symbolic.parse("A[3;" + ",".join(["4"] * 7) + "]"), 1)
+    assert _digest(symbolic.decompose(A)) == (
+        "9e9151ab28e53dbbc3ba4c87b667e55cdc210bdcf44c30fa31adcf129648b2c3"
+    )
