@@ -226,7 +226,7 @@ def _cmd_check(args) -> int:
     prop, arg = _PROPERTIES[args.property], args.algebra
     shape = _looks_symbolic(arg)
     if args.oracle and not (prop.decider and prop.search and not shape):
-        where = " on a symbolic shape" if shape else ""
+        where = " on a symbolic shape" if prop.decider and prop.search else ""
         has = " and ".join(name for name, p in _PROPERTIES.items() if p.decider and p.search)
         raise ValueError(f"property {args.property!r} has no --oracle{where}; it has one for {has} on finite tables")
     if args.k is not None and not prop.takes_k:
@@ -391,8 +391,17 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops an OSError from writing the help; this parser lets
+    it through to main, so that help written into a closed pipe is
+    reported like any other answer."""
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="monoalg", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="monoalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     default_bound = _default_bound()  # read for every verb, so a bad value always fails
@@ -476,11 +485,17 @@ def main(argv=None) -> int:
 def run() -> None:
     """Run main() as the whole process: flush stdout, then stderr, and
     leave with os._exit, so that the interpreter frees no table or module
-    one object at a time after the answer is written.  A closed pipe on
-    the closing flush is reported as an error (exit 2).  An exception
-    that main does not catch, SystemExit included, propagates through the
+    one object at a time after the answer is written.  argparse's exit
+    after --help or a usage error takes the same way out with its code.
+    A closed pipe on the closing flush is reported as an error (exit 2).
+    Any other exception that main does not catch propagates through the
     normal interpreter exit."""
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        if not isinstance(exc.code, int):
+            raise
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:

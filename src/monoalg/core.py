@@ -8,12 +8,16 @@ in general only a partial algebra.
 
 from __future__ import annotations
 
+import gc
 import json
 from array import array
+from collections import defaultdict
 from functools import cached_property, lru_cache
-from itertools import compress
-from operator import attrgetter, not_
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from itertools import compress, pairwise
+from operator import attrgetter, not_, sub
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
+
+T = TypeVar("T")
 
 # stated limits, kept here so that building the CLI's parser reads them
 # without importing the modules that enforce them
@@ -137,37 +141,53 @@ def random_algebra(n: int, seed: int) -> FiniteMonounary:
 # ---------------------------------------------------------------------------
 # structural invariants
 
+def _narrow(values: list[int]) -> Union[bytes, array]:
+    """values as bytes when every one fits, else as array("i"), which
+    holds every index below 2^31; bytes is a quarter the size."""
+    try:
+        return bytes(values)
+    except ValueError:
+        return array("i", values)
+
+
 class Skeleton:
     """One indegree peel of a table, read by every structural layer.
 
-    table   the table, copied once into a dense array("i"), so that the
-            per-element loops of every layer read machine ints side by
-            side rather than int objects scattered over the heap
-    degree  the number of preimages of each element, counted before the
-            peel
-    levels  all elements grouped by rank, children first: a leaf has rank
-            0, any other element one more than its highest-ranked acyclic
-            preimage; acyclic elements peel off level by level
-    cyclic  1 where the indegree never drops to 0 (one cycle preimage is
-            left), else 0
-    cycles  each in operation order from its least element, sorted by it
+    Every per-point field is an array("i") or bytes, built in a list and
+    converted once; degree and comp are bytes when every value fits:
+    table   the table
+    degree  the number of preimages of each point, before the peel
+    cyclic  1 where the indegree never drops to 0 (one cycle preimage
+            is left), else 0
+    ranked  every point, rank by rank: a leaf has rank 0, any other
+            point one more than its highest-ranked acyclic preimage;
+            in a rank the acyclic points come in peel order, then the
+            cyclic ones in cycle order.  The peel is one flat Kahn
+            queue, so it builds no list per rank
+    level_starts
+            where each rank begins in `ranked`, then n; no rank is empty
+    cycle_points, cycle_starts
+            the cycles the same way, each in operation order from its
+            least point, sorted by it; cycles() yields them
     height  least k with f^k(x) cyclic
-    comp    index into `cycles` of the component of x
-    height and comp are filled together, in one walk down the reversed
-    levels, when either is first read.
+    comp    the index of x's cycle in cycles()
+    height and comp are filled together, in one walk down `ranked`,
+    when either is first read.
     unmarked
             iso.label(self), stored there by its first call; None before
 
-    Every layer that takes an algebra reads its skeleton through
-    `skeleton`, which keeps the skeletons of the two tables last asked
-    for, so calls on the same table share one peel and one unmarked
-    labelling.  On a random 10^5-point table a skeleton holds about
-    5.8 MiB, height and comp 2.2 MiB more, and the unmarked labelling
-    3.0 MiB more (tracemalloc, CPython 3.11): about 11 MiB a table, so
-    at most about 22 MiB stay alive, and about 127 MiB a table on
-    10^6 points.  A shared skeleton and its labelling are read-only:
-    every reader copies before it changes anything, and children() and
-    tree_above() build fresh lists on each call.
+    Every layer reads its skeleton through `skeleton`, which keeps the
+    two tables last asked for, so calls on one table share one peel and
+    one unmarked labelling.  On a random 10^5-point table (tracemalloc,
+    CPython 3.11) a skeleton holds 0.97 MiB, height and comp 0.48 MiB
+    and the unmarked labelling 2.64 MiB, 2.25 of it the certificate's
+    tuples; lists of int objects held 5.80, 2.23 and 3.02 MiB.  On 10^6
+    points: 9.6, 4.8 and 24.3 MiB against 58.0, 35.8 and 28.1.  An
+    array holds no references, so one cached random 10^5 skeleton no
+    longer slows a full gc.collect() (1.6-2.0 ms, 1.4-2.2 with none;
+    5.7-10.6 ms with the lists).  A shared skeleton and its labelling
+    are read-only: readers copy before they change anything, and
+    children() and tree_above() build fresh lists on each call.
     """
 
     def __init__(self, table: Sequence[int]):
@@ -176,66 +196,92 @@ class Skeleton:
         indeg = [0] * n
         for v in table:
             indeg[v] += 1
-        degree = indeg.copy()
+        degree = _narrow(indeg)
+        # one flat Kahn queue: the leaves, then each point as its last
+        # acyclic preimage leaves, so the queue runs rank by rank
         rank = [0] * n
-        levels = []
-        layer = [x for x in range(n) if not indeg[x]]
-        while layer:
-            levels.append(layer)
-            r = len(levels)
-            nxt = []
-            for x in layer:
-                y = table[x]
-                rank[y] = r  # the last child to peel has the highest rank
-                indeg[y] -= 1
-                if not indeg[y]:
-                    nxt.append(y)
-            layer = nxt
-        levels.append([])  # the top rank: the last layer's images are all cyclic
-        cycles = []
-        seen = [False] * n
-        for s in compress(range(n), indeg):
-            if not seen[s]:
-                cycle = []
+        queue = [x for x in range(n) if not indeg[x]]
+        starts = [0] if queue else []  # where each rank begins in the queue
+        top = 0
+        for x in queue:
+            y = table[x]
+            r = rank[x] + 1  # the last child to leave has the highest rank
+            rank[y] = r
+            d = indeg[y] - 1
+            indeg[y] = d
+            if not d:
+                if r != top:
+                    top = r
+                    starts.append(len(queue))
+                queue.append(y)
+        starts += [len(queue)] * 2  # the top rank, which holds cyclic points only, and the end
+        cyclic = bytes(indeg)
+        cycle_points, cycle_starts = [], [0]
+        on_rank: dict[int, list[int]] = {}  # the cyclic points by rank
+        for s in compress(range(n), cyclic):
+            if indeg[s]:  # the walk clears each cycle point's indegree
                 x = s
-                while not seen[x]:
-                    seen[x] = True
-                    cycle.append(x)
-                    levels[rank[x]].append(x)
+                while indeg[x]:
+                    indeg[x] = 0
+                    cycle_points.append(x)
+                    on_rank.setdefault(rank[x], []).append(x)
                     x = table[x]
-                cycles.append(cycle)
-        self.table, self.degree, self.levels, self.cyclic, self.cycles = table, degree, levels, indeg, cycles
+                cycle_starts.append(len(cycle_points))
+        # each rank's cyclic points go after its acyclic ones
+        ranked, level_starts, placed, lo = array("i"), [], 0, 0
+        for r in sorted(on_rank):
+            part = starts[lo:r + 1]
+            level_starts += [s + placed for s in part] if placed else part
+            ranked.fromlist(queue[starts[lo]:starts[r + 1]])
+            ranked.fromlist(on_rank[r])
+            placed += len(on_rank[r])
+            lo = r + 1
+        level_starts.append(n)
+        self.table, self.degree, self.cyclic, self.ranked = table, degree, cyclic, ranked
+        self.level_starts = array("i", level_starts)
+        self.cycle_points, self.cycle_starts = array("i", cycle_points), array("i", cycle_starts)
         self.unmarked = None
 
+    def cycles(self) -> Iterator[array]:
+        """Each cycle, as a slice of cycle_points."""
+        points = self.cycle_points
+        return (points[a:b] for a, b in pairwise(self.cycle_starts))
+
+    def cycle_lengths(self) -> Iterator[int]:
+        """The length of each cycle, in the order of cycles()."""
+        starts = self.cycle_starts
+        return map(sub, starts[1:], starts)
+
     def parents_first(self) -> Iterator[int]:
-        """The acyclic elements, each after its image f(x)."""
-        return (x for level in reversed(self.levels) for x in level if not self.cyclic[x])
+        """The acyclic points, each after its image f(x)."""
+        cyclic = self.cyclic
+        return (x for x in reversed(self.ranked) if not cyclic[x])
 
     @cached_property
-    def height(self) -> list[int]:
+    def height(self) -> array:
         return self._height_and_comp()[0]
 
     @cached_property
-    def comp(self) -> list[int]:
+    def comp(self) -> Union[bytes, array]:
         return self._height_and_comp()[1]
 
-    def _height_and_comp(self) -> tuple[list[int], list[int]]:
-        """Both height and comp in one walk down the reversed levels,
-        cached together whichever is read first."""
+    def _height_and_comp(self) -> tuple[array, Union[bytes, array]]:
+        """Both height and comp in one walk down `ranked`, cached
+        together whichever is read first."""
         table, cyclic = self.table, self.cyclic
         h = [0] * len(table)
-        c = [0] * len(table)
-        for i, cycle in enumerate(self.cycles):
+        c = h.copy()
+        for i, cycle in enumerate(self.cycles()):
             for x in cycle:
                 c[x] = i
-        for level in reversed(self.levels):
-            for x in level:
-                if not cyclic[x]:
-                    y = table[x]
-                    h[x] = h[y] + 1
-                    c[x] = c[y]
-        self.__dict__.update(height=h, comp=c)
-        return h, c
+        for x in reversed(self.ranked):
+            if not cyclic[x]:
+                y = table[x]
+                h[x] = h[y] + 1
+                c[x] = c[y]
+        height, comp = array("i", h), _narrow(c)
+        self.__dict__.update(height=height, comp=comp)
+        return height, comp
 
     def children(self) -> list[list[int]]:
         """Per element, its acyclic preimages in ascending order."""
@@ -261,13 +307,34 @@ class Skeleton:
 skeleton = lru_cache(maxsize=2)(Skeleton)
 
 
+def paused(size: int, build: Callable[..., T], *args: object) -> T:
+    """build(*args), with the cyclic garbage collector paused when `size`,
+    the number of objects it builds, is at least ten times the
+    collector's first threshold; the caller's setting comes back, also
+    when build raises.  No build paused here makes a reference cycle, so
+    a collection could free nothing; a smaller build triggers a few
+    cheap young collections at most."""
+    if not gc.isenabled() or size < 10 * gc.get_threshold()[0]:
+        return build(*args)
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        gc.enable()
+
+
 def group_points(key: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The points grouped by their int key (a component or orbit number),
     blocks and block list both ascending: a dict keeps its blocks in the
-    order of their least points."""
-    blocks: dict[int, list[int]] = {}
+    order of their least points.  A long key is grouped with the
+    collector paused, as it builds one list and one tuple per block."""
+    return paused(len(key), _group_points, key)
+
+
+def _group_points(key: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    blocks: defaultdict[int, list[int]] = defaultdict(list)
     for x, k in enumerate(key):
-        blocks.setdefault(k, []).append(x)
+        blocks[k].append(x)
     return tuple(map(tuple, blocks.values()))
 
 
@@ -301,7 +368,7 @@ def structure_report(A: FiniteMonounary) -> StructureReport:
     # a component is purely cyclic iff each cycle point's one preimage is
     # its cycle predecessor
     purely_cyclic = tuple(
-        frozenset(c) for c in sk.cycles if all(degree[x] == 1 for x in c)
+        frozenset(c) for c in sk.cycles() if all(degree[x] == 1 for x in c)
     )
     return StructureReport(
         components=group_points(sk.comp),
@@ -309,7 +376,7 @@ def structure_report(A: FiniteMonounary) -> StructureReport:
         heights=tuple(sk.height),
         height=max(sk.height),
         leaves=leaves,
-        cycle_sizes=tuple(sorted(len(c) for c in sk.cycles)),
+        cycle_sizes=tuple(sorted(sk.cycle_lengths())),
         min_generating=MinimalGenerators(leaves, purely_cyclic),
     )
 

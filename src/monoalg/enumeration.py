@@ -120,7 +120,7 @@ def _least_table(table: Sequence[int]) -> tuple[int, ...]:
     orbit = _point_orbits(sk)
     kids = sk.children()
     cycle_len = [0] * n
-    for cycle in sk.cycles:
+    for cycle in sk.cycles():
         for x in cycle:
             cycle_len[x] = len(cycle)
     # a state: label per point (-1 if none), points in label order, and

@@ -15,14 +15,15 @@ key is that tuple, not a copy.  The list keeps a node with many
 distinct child labels linear: extending a tuple would copy it once per
 label.  Unmarked, every key on the bottom level is empty, so that level
 takes label 0, which every element starts with, and only hands it to
-the parents.  Every loop reads f from the skeleton's dense copy of the
-table (core.Skeleton).  A certificate is a flat pair of int
+the parents.  Every loop reads the skeleton's flat arrays
+(core.Skeleton): f from its dense copy of the table, each level as a
+slice of its rank order.  A certificate is a flat pair of int
 tuples: the child-label tuples in label order, which fixes what every
 label means, and the sorted cycle label sequences, each at its least
 rotation.  Two algebras have equal certificates iff they are
 isomorphic; certificates are compared for equality only, never ordered
 or looked into.  are_isomorphic first compares what the two skeletons
-carry, the level sizes and the sorted cycle lengths, and labels only
+carry, the level starts and the sorted cycle lengths, and labels only
 when these agree.
 Marked variants seed the child list of a marked element xs[i] with
 -1 - i, last mark first so that a point marked twice keeps its list
@@ -44,35 +45,36 @@ skeleton from core.skeleton, and the unmarked labelling is kept on the
 skeleton by the first label() call, so a certificate, an isomorphism
 test and an automorphism enumeration on one table peel it and label it
 once.  At most two tables' skeletons and unmarked labellings stay
-alive (their size is stated at core.Skeleton); both are shared, so
-read-only.  A marked labelling is built afresh on every call.
+alive; both are shared, so read-only.  The labels are kept as one
+array("i"), converted from the list the labelling fills, so what stays
+alive is that array and the certificate (their size is stated at
+core.Skeleton).  A marked labelling is built afresh on every call.
 
 The labelling builds a child-label list per element, so on 10^5 points
 CPython's cyclic garbage collector would pass over them many times.  It
 could free nothing: nothing the labelling builds refers back to itself,
 so reference counting frees all of it.  A table of at least ten times
 the collector's first threshold is therefore labelled with the
-collector paused, and the caller's setting comes back, also when the
-labelling raises.  A smaller table triggers a few cheap young
-collections at most; pausing them gains nothing and only moves the
-caller's full collections.  The enumeration pauses the collector by the
-same rule, counted in automorphisms, for its closing conversion to
-tuples alone: on at most 256 points it composes byte strings, which the
-collector does not track, so only that conversion triggers collections,
-and these free nothing.  Raw tables are checked by core.FiniteMonounary.
+collector paused (core.paused, which also pauses it for grouping points
+and numbering orbits), and the caller's setting comes back, also when
+the labelling raises; the labels are converted to their array inside
+the pause.  The enumeration pauses the collector by the same rule,
+counted in automorphisms, for its closing conversion to tuples alone:
+on at most 256 points it composes byte strings, which the collector
+does not track, so only that conversion triggers collections, and
+these free nothing.  Raw tables are checked by core.FiniteMonounary.
 """
 
 from __future__ import annotations
 
-import gc
-from itertools import groupby, permutations, repeat
+from array import array
+from itertools import groupby, pairwise, permutations, repeat
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, skeleton
+from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, paused, skeleton
 
 Certificate = tuple
-T = TypeVar("T")
 
 DEFAULT_AUT_CAP = 100_000
 MAX_AUT_ENTRIES = 10_000_000  # automorphisms times n, the size of the list
@@ -108,40 +110,27 @@ def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
     return i, (j - i if m == k else k)
 
 
-def _paused(size: int, build: Callable[..., T], *args: object) -> T:
-    """build(*args), with the cyclic garbage collector paused when `size`,
-    the number of objects it builds, is at least ten times the
-    collector's first threshold; the caller's setting comes back, also
-    when build raises."""
-    if not gc.isenabled() or size < 10 * gc.get_threshold()[0]:
-        return build(*args)
-    gc.disable()
-    try:
-        return build(*args)
-    finally:
-        gc.enable()
-
-
 def label(
     sk: Skeleton, xs: Sequence[int] = ()
-) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
+) -> tuple[Union[array, list[int]], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
     """Canonical tree labels, each cycle's label sequence at its least
     rotation and that rotation's (offset, period), both aligned with
-    sk.cycles, and the certificate, with xs[i] marked by -1 - i.  Large
+    sk.cycles(), and the certificate, with xs[i] marked by -1 - i.  Large
     tables are labelled with the cyclic garbage collector paused.  The
-    unmarked labelling is kept on sk and returned again on every later
-    call, so it is read-only; a marked one is built afresh each time."""
+    unmarked labelling is kept on sk, its labels as array("i"), and
+    returned again on every later call, so it is read-only; a marked one
+    is built afresh each time, its labels a list."""
     if xs:
-        return _paused(len(sk.table), _label, sk, xs)
+        return paused(len(sk.table), _label, sk, xs)
     if sk.unmarked is None:
-        sk.unmarked = _paused(len(sk.table), _label, sk, ())
+        sk.unmarked = paused(len(sk.table), _label, sk, ())
     return sk.unmarked
 
 
 def _label(
     sk: Skeleton, xs: Sequence[int]
-) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
-    table, cyclic = sk.table, sk.cyclic
+) -> tuple[Union[array, list[int]], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
+    table, cyclic, ranked = sk.table, sk.cyclic, sk.ranked
     n = len(table)
     # x's child labels so far: (), then its group's shared 1-tuple, then a
     # list that later labels extend; tuple() of a tuple is that tuple
@@ -150,10 +139,10 @@ def _label(
         keys_of[xs[i]] = [*keys_of[xs[i]], -1 - i]
     labels = [0] * n
     entries: list[tuple[int, ...]] = []
-    for depth, level in enumerate(sk.levels):
+    for depth, (lo, hi) in enumerate(pairwise(sk.level_starts)):
         base = len(entries)
-        if len(level) == 1:  # a path's levels: nothing to group or sort
-            x = level[0]
+        if hi - lo == 1:  # a path's levels: nothing to group or sort
+            x = ranked[lo]
             entries.append(tuple(keys_of[x]))
             labels[x] = base
             if not cyclic[x]:
@@ -166,6 +155,7 @@ def _label(
                 else:
                     k.append(base)
             continue
+        level = ranked[lo:hi]
         if not (depth or xs):  # unmarked, every key on the bottom level is empty
             entries.append(())
             runs = ((0, level),)
@@ -197,16 +187,18 @@ def _label(
                     else:
                         k.append(lab)
     seqs, rots = [], []
-    for cycle in sk.cycles:
-        if len(cycle) == 1:  # a loop is its own least rotation
-            seqs.append((labels[cycle[0]],))
+    points = sk.cycle_points
+    for a, b in pairwise(sk.cycle_starts):
+        if b - a == 1:  # a loop is its own least rotation
+            seqs.append((labels[points[a]],))
             rots.append((0, 1))
             continue
-        seq = list(map(labels.__getitem__, cycle))
+        seq = list(map(labels.__getitem__, points[a:b]))
         r, period = _least_rotation(seq)
         seqs.append(tuple(seq[r:] + seq[:r]))
         rots.append((r, period))
-    return labels, seqs, rots, (tuple(entries), tuple(sorted(seqs)))
+    # only the unmarked labels are kept, so only they become an array
+    return labels if xs else array("i", labels), seqs, rots, (tuple(entries), tuple(sorted(seqs)))
 
 
 def table_certificate(table: Sequence[int], xs: Sequence[int] = ()) -> Certificate:
@@ -230,9 +222,9 @@ def are_isomorphic(A: FiniteMonounary, B: FiniteMonounary) -> bool:
     if A.n != B.n:
         return False
     ska, skb = skeleton(A.table), skeleton(B.table)
-    if list(map(len, ska.levels)) != list(map(len, skb.levels)):
+    if ska.level_starts != skb.level_starts:
         return False
-    if sorted(map(len, ska.cycles)) != sorted(map(len, skb.cycles)):
+    if sorted(ska.cycle_lengths()) != sorted(skb.cycle_lengths()):
         return False
     return label(ska)[3] == label(skb)[3]
 
@@ -354,13 +346,14 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
 
     # classes are disjoint, so each class's swaps and rotations may
     # follow the previous class's
+    cycles = list(sk.cycles())
     for seq, members in groups.items():
         k, period = len(seq), rots[members[0]][1]
         if len(members) == 1 and period == k:
             continue
         trees = []  # per member, the trees above its cycle from its least rotation
         for i in members:
-            cycle, r = sk.cycles[i], rots[i][0]
+            cycle, r = cycles[i], rots[i][0]
             trees.append([tree(c) for c in cycle[r:] + cycle[:r]])
         if len(members) > 1:
             swaps([[y for t in ts for y in t] for ts in trees])
@@ -374,10 +367,9 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
                             p[u] = v
                     factor.append(p)
                 factors.append(factor)
-    for level in reversed(sk.levels):
-        for x in level:
-            for run in runs_at.get(x, ()):
-                swaps([tree(y) for y in run])
+    for x in reversed(sk.ranked):  # parents first
+        for run in runs_at.get(x, ()):
+            swaps([tree(y) for y in run])
 
     small = n <= 256  # a point fits in a byte
     auts = [bytes(range(n)) if small else tuple(range(n))]
@@ -390,7 +382,7 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
                 products += map(itemgetter(*p), auts)
         auts = products
     auts.sort()
-    return _paused(len(auts), list, map(tuple, auts)) if small else auts
+    return paused(len(auts), list, map(tuple, auts)) if small else auts
 
 
 def extend_to_automorphism(
@@ -417,16 +409,16 @@ def extend_to_automorphism(
     if cert != dst_cert:
         return None
     p = [0] * A.n
-    cyc = range(len(sk.cycles))
+    cycles = list(sk.cycles())
+    cyc = range(len(cycles))
     for a, b in zip(sorted(cyc, key=src_seqs.__getitem__), sorted(cyc, key=dst_seqs.__getitem__)):
-        image, shift = sk.cycles[b], dst_rots[b][0] - src_rots[a][0]
-        for t, c in enumerate(sk.cycles[a]):
+        image, shift = cycles[b], dst_rots[b][0] - src_rots[a][0]
+        for t, c in enumerate(cycles[a]):
             p[c] = image[(t + shift) % len(image)]
     kids = sk.children()
-    for level in reversed(sk.levels):  # parents first: p[x] is set before x's children
-        for x in level:
-            mine = sorted(kids[x], key=src.__getitem__)
-            theirs = sorted(kids[p[x]], key=dst.__getitem__)
-            for a, b in zip(mine, theirs):
-                p[a] = b
+    for x in reversed(sk.ranked):  # parents first: p[x] is set before x's children
+        mine = sorted(kids[x], key=src.__getitem__)
+        theirs = sorted(kids[p[x]], key=dst.__getitem__)
+        for a, b in zip(mine, theirs):
+            p[a] = b
     return tuple(p)

@@ -15,7 +15,7 @@ from itertools import product
 from typing import Sequence
 
 from . import iso
-from .core import FiniteMonounary, Skeleton, group_points, skeleton
+from .core import FiniteMonounary, Skeleton, group_points, paused, skeleton
 from .iso import brute_force_automorphisms
 
 # the orbit walk limit: one orbit_profile walk counts tuples of at most
@@ -30,13 +30,18 @@ MAX_ORBIT_POINTS = 10_000_000
 
 def _point_orbits(sk: Skeleton, xs: Sequence[int] = ()) -> list[int]:
     """Orbit number of every element under the automorphisms fixing
-    each xs[i]."""
+    each xs[i].  A large table is numbered with the collector paused, as
+    each orbit has a key tuple."""
+    return paused(len(sk.table), _number_orbits, sk, xs)
+
+
+def _number_orbits(sk: Skeleton, xs: Sequence[int]) -> list[int]:
     table = sk.table
     labels, seqs, rots, _ = iso.label(sk, xs)
     seq_ids: dict[tuple[int, ...], int] = {}
     ids: dict[tuple, int] = {}  # cyclic keys have three entries, acyclic two
     orbit = [0] * len(table)
-    for cycle, seq, (r, period) in zip(sk.cycles, seqs, rots):
+    for cycle, seq, (r, period) in zip(sk.cycles(), seqs, rots):
         s = seq_ids.setdefault(seq, len(seq_ids))
         for t, c in enumerate(cycle):
             orbit[c] = ids.setdefault((None, s, (t - r) % period), len(ids))

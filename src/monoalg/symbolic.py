@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from itertools import compress
 from operator import itemgetter, sub
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import core
 from .core import FiniteMonounary, _Record
@@ -504,27 +504,35 @@ def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
     uniform level by level and components with equal cycle size are
     isomorphic, and NotUltrahomogeneous names the first violation."""
     sk = core.skeleton(A.table)
-    # acyclic preimages: a cyclic element's one cyclic preimage is not a child
-    kids = list(map(sub, sk.degree, sk.cyclic))
+
+    def kids() -> Iterator[int]:
+        """Acyclic preimage counts, read lazily, as a non-UH table usually
+        fails early: a cyclic element's one cyclic preimage is not a
+        child."""
+        return map(sub, sk.degree, sk.cyclic)
+
     # one pass: every (component, height) bucket must hold one child count
     counts: dict[tuple[int, int], int] = {}
-    top = [0] * len(sk.cycles)
-    for x, key in enumerate(zip(sk.comp, sk.height)):
-        if counts.setdefault(key, kids[x]) != kids[x]:
-            found = set(compress(kids, map(key.__eq__, zip(sk.comp, sk.height))))
+    for key, k in zip(zip(sk.comp, sk.height), kids()):
+        if counts.setdefault(key, k) != k:
+            found = set(compress(kids(), map(key.__eq__, zip(sk.comp, sk.height))))
             raise NotUltrahomogeneous(
                 f"not ultrahomogeneous: level {key[1]} has non-uniform preimage counts {sorted(found)}"
             )
-        top[key[0]] = max(top[key[0]], key[1])
+    # a component's heights run from 0 up without a gap, so its top
+    # height is its number of buckets less one
+    top = [-1] * (len(sk.cycle_starts) - 1)
+    for c, _ in counts:
+        top[c] += 1
     # one profile per cycle size, counted: components with one cycle size
     # must have the same level counts
     levels: dict[int, tuple[int, ...]] = {}
     copies: dict[int, int] = {}
-    for c, cycle in enumerate(sk.cycles):
+    for c, size in enumerate(sk.cycle_lengths()):
         shape = tuple(counts[c, k] for k in range(top[c]))
-        if levels.setdefault(len(cycle), shape) != shape:
+        if levels.setdefault(size, shape) != shape:
             raise NotUltrahomogeneous(
-                f"not ultrahomogeneous: components with cycle size {len(cycle)} are not isomorphic"
+                f"not ultrahomogeneous: components with cycle size {size} are not isomorphic"
             )
-        copies[len(cycle)] = copies.get(len(cycle), 0) + 1
+        copies[size] = copies.get(size, 0) + 1
     return symbolic((Cardinal(m), Profile(size, levels[size])) for size, m in copies.items())

@@ -380,6 +380,17 @@ def test_oracle_is_refused_where_there_is_none(capsys):
     assert code == 2 and not out and "'uh'" in err and "symbolic shape" in err
 
 
+@pytest.mark.parametrize("prop", ["hom-n", "pf-uh"])
+def test_oracle_refusal_names_a_shape_only_where_an_oracle_exists(capsys, prop):
+    """A property with no oracle on any input is refused without "on a
+    symbolic shape"; uh, which has one on finite tables, is refused with it."""
+    tail = "; it has one for uh and phom on finite tables\n"
+    code, out, err = run(capsys, "check", prop, "Z3", "--oracle")
+    assert (code, out, err) == (2, "", f"error: property {prop!r} has no --oracle{tail}")
+    code, out, err = run(capsys, "check", "uh", "Z3", "--oracle")
+    assert (code, out, err) == (2, "", f"error: property 'uh' has no --oracle on a symbolic shape{tail}")
+
+
 def test_check_reads_every_property_from_one_table(capsys):
     """The usage line, the --oracle refusal and the dispatch all read
     cli._PROPERTIES, so a property written there reaches all three."""
@@ -529,12 +540,15 @@ def test_program_calls_cover_every_exit_code(capsys):
 
 
 @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
-@pytest.mark.parametrize("argv, lines", [(["enumerate", "--n", "9"], 1), (["analyze", "f: 1 0 0"], 0)])
+@pytest.mark.parametrize(
+    "argv, lines", [(["enumerate", "--n", "9"], 1), (["analyze", "f: 1 0 0"], 0), (["--help"], 0)]
+)
 def test_a_closed_pipe_exits_2(argv, lines, unbuffered):
     """A reader that takes `lines` lines and closes the pipe: the program
     reports the closed pipe once and exits 2, with no traceback.  A
     buffered short answer meets the closed pipe only on run()'s closing
-    flush; an unbuffered one, or a long one, inside main."""
+    flush; an unbuffered one, or a long one, inside main.  The help
+    leaves main by argparse's SystemExit, and takes the same way out."""
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("the pipe's size cannot be set here")

@@ -4,7 +4,7 @@ round trips."""
 import copy
 import enum
 import pickle
-from itertools import product
+from itertools import pairwise, product
 
 import pytest
 from hypothesis import given, settings
@@ -179,7 +179,7 @@ def test_two_components():
 
 def test_cycles_listed_in_operation_order():
     A = validate([2, 0, 1])
-    assert Skeleton(A.table).cycles == [[0, 2, 1]]
+    assert list(map(list, Skeleton(A.table).cycles())) == [[0, 2, 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +237,8 @@ def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
     """Walk f from x until it reaches a cycle: the steps are the height,
     and the cycle reached, as an index into sk.cycles, is comp; the same
     whichever of the two is read first.  No level is empty, degree
-    counts preimages, and table is the input's entries whatever sequence
-    type it came as."""
+    counts preimages, cyclic marks the cycle points, and table is the
+    input's entries whatever sequence type it came as."""
     n = len(tab)
     on_cycle = set()
     for x in range(n):  # n steps from any point land on its cycle
@@ -246,21 +246,52 @@ def test_skeleton_height_and_comp_follow_the_definition(tab, height_first):
             x = tab[x]
         on_cycle.add(x)
     sk = Skeleton(tab)
-    index = {c: i for i, cycle in enumerate(sk.cycles) for c in cycle}
+    index = {c: i for i, cycle in enumerate(sk.cycles()) for c in cycle}
     if height_first:
         height, comp = sk.height, sk.comp
     else:
         comp, height = sk.comp, sk.height
     assert sorted(index) == sorted(on_cycle)
-    assert all(sk.levels)
+    assert all(a < b for a, b in pairwise(sk.level_starts))
     for x in range(n):
         k, y = 0, x
         while y not in on_cycle:
             k, y = k + 1, tab[y]
         assert (height[x], comp[x]) == (k, index[y])
-    assert sk.degree == [tab.count(x) for x in range(n)]
+    assert list(sk.degree) == [tab.count(x) for x in range(n)]
+    assert list(sk.cyclic) == [x in on_cycle for x in range(n)]
     for raw in (tab, list(tab), range(n)):
         assert list(Skeleton(raw).table) == list(raw)
+
+
+@given(tables(max_n=9) | symmetric_tables(8, 60))
+@settings(max_examples=150, deadline=None)
+def test_skeleton_ranks_and_cycles_follow_the_definition(tab):
+    """ranked holds every point once, rank by rank, and level_starts
+    splits it into the ranks: a leaf has rank 0, any other point one more
+    than its highest-ranked acyclic preimage, and within a rank the
+    acyclic points come first.  Each cycle runs in operation order from
+    its least point, and the cycles are sorted by it."""
+    n = len(tab)
+    sk = Skeleton(tab)
+    rank = [0] * n
+    for _ in range(n):  # a rank is at most n - 1, so n rounds reach the fixed point
+        for x in range(n):
+            if not sk.cyclic[x]:
+                rank[tab[x]] = max(rank[tab[x]], rank[x] + 1)
+    assert sorted(sk.ranked) == list(range(n))
+    assert sk.level_starts[0] == 0 and sk.level_starts[-1] == n
+    for r, (a, b) in enumerate(pairwise(sk.level_starts)):
+        level = sk.ranked[a:b]
+        assert {rank[x] for x in level} == {r}
+        marks = [sk.cyclic[x] for x in level]
+        assert marks == sorted(marks)
+    cycles = [list(c) for c in sk.cycles()]
+    assert sorted(sk.cycle_points) == [x for x in range(n) if sk.cyclic[x]]
+    assert [c[0] for c in cycles] == sorted(min(c) for c in cycles)
+    for c in cycles:
+        assert [tab[x] for x in c] == c[1:] + c[:1]
+    assert list(sk.cycle_lengths()) == list(map(len, cycles))
 
 
 @given(tables() | symmetric_tables(8, 60))

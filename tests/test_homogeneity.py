@@ -135,6 +135,17 @@ def test_lattice_report_is_a_record():
         r.uh = True
 
 
+def test_ph1_without_uh_breaks_the_implications():
+    """1-partial homogeneity implies ultrahomogeneity.  A report with ph1
+    and not uh fails the check, though every other implication holds: it
+    holds again once uh and the conditions above it are set."""
+    r = hom.LatticeReport(
+        transitive=False, ph1=True, ph2=False, ph=False, uh=False, h=False, h2=False, h1=False
+    )
+    assert r.implications_hold() is False
+    assert r._replace(uh=True, h=True, h2=True, h1=True).implications_hold() is True
+
+
 def test_bounds_and_arity_errors():
     big = validate([0] * 9)
     with pytest.raises(ValueError, match="bound"):

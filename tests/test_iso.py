@@ -84,7 +84,7 @@ def test_are_isomorphic_where_the_skeletons_agree():
         first = {}
         for t in tabs:
             sk = Skeleton(t)
-            u = first.setdefault((tuple(map(len, sk.levels)), tuple(sorted(map(len, sk.cycles)))), t)
+            u = first.setdefault((tuple(sk.level_starts), tuple(sorted(sk.cycle_lengths()))), t)
             same = exists_iso(u, t)
             assert iso.are_isomorphic(FiniteMonounary(u), FiniteMonounary(t)) == same, (u, t)
             undecided += not same

@@ -4,6 +4,7 @@ the cache is cleared before each call, at most two tables' skeletons
 stay alive, and no reader changes what it shares."""
 
 import weakref
+from array import array
 
 import pytest
 
@@ -99,6 +100,28 @@ def test_at_most_two_tables_are_kept():
     assert first() is None
     assert iso.are_isomorphic(algebras[1], algebras[2]) is False
     assert core.skeleton.cache_info().currsize == 2
+
+
+def test_a_cached_skeleton_holds_no_per_point_list():
+    """Every per-point field of a cached skeleton, height and comp and
+    the unmarked labels included, is a flat array or bytes: machine ints
+    side by side, not a list of int objects."""
+    A = random_algebra(BIG, 6)
+    sk = core.skeleton(A.table)
+    sk.height, sk.comp
+    labels = iso.label(sk)[0]
+    fields = {name: value for name, value in vars(sk).items() if name != "unmarked"}
+    assert fields.keys() == {
+        "table", "degree", "cyclic", "ranked", "level_starts",
+        "cycle_points", "cycle_starts", "height", "comp",
+    }
+    fields["labels"] = labels
+    for name, value in fields.items():
+        assert type(value) in (array, bytes), name
+    assert {name for name, value in fields.items() if len(value) == BIG} == {
+        "table", "degree", "cyclic", "ranked", "height", "comp", "labels",
+    }
+    assert core.skeleton(A.table).unmarked[0] is labels
 
 
 def test_certificate_of_a_list_is_that_of_its_tuple():
