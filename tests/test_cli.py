@@ -374,21 +374,16 @@ def test_check_reads_a_finite_table_through_its_normal_form(capsys):
 
 
 def test_oracle_is_refused_where_there_is_none(capsys):
+    """The refusal names a symbolic shape only for a property that has an
+    oracle on finite tables (uh), not for one that has none at all."""
     code, out, err = run(capsys, "check", "transitive", "f: 1 2 0", "--oracle")
     assert code == 2 and not out and "'transitive'" in err and "--oracle" in err
-    code, out, err = run(capsys, "check", "uh", "Z3", "--oracle")
-    assert code == 2 and not out and "'uh'" in err and "symbolic shape" in err
-
-
-@pytest.mark.parametrize("prop", ["hom-n", "pf-uh"])
-def test_oracle_refusal_names_a_shape_only_where_an_oracle_exists(capsys, prop):
-    """A property with no oracle on any input is refused without "on a
-    symbolic shape"; uh, which has one on finite tables, is refused with it."""
     tail = "; it has one for uh and phom on finite tables\n"
-    code, out, err = run(capsys, "check", prop, "Z3", "--oracle")
-    assert (code, out, err) == (2, "", f"error: property {prop!r} has no --oracle{tail}")
     code, out, err = run(capsys, "check", "uh", "Z3", "--oracle")
     assert (code, out, err) == (2, "", f"error: property 'uh' has no --oracle on a symbolic shape{tail}")
+    for prop in ("hom-n", "pf-uh"):
+        code, out, err = run(capsys, "check", prop, "Z3", "--oracle")
+        assert (code, out, err) == (2, "", f"error: property {prop!r} has no --oracle{tail}"), prop
 
 
 def test_check_reads_every_property_from_one_table(capsys):
