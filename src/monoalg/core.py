@@ -8,16 +8,12 @@ in general only a partial algebra.
 
 from __future__ import annotations
 
-import gc
 import json
 from array import array
-from collections import defaultdict
 from functools import cached_property, lru_cache
 from itertools import compress, pairwise
 from operator import attrgetter, not_, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar, Union
-
-T = TypeVar("T")
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 # stated limits, kept here so that building the CLI's parser reads them
 # without importing the modules that enforce them
@@ -141,20 +137,11 @@ def random_algebra(n: int, seed: int) -> FiniteMonounary:
 # ---------------------------------------------------------------------------
 # structural invariants
 
-def _narrow(values: list[int]) -> Union[bytes, array]:
-    """values as bytes when every one fits, else as array("i"), which
-    holds every index below 2^31; bytes is a quarter the size."""
-    try:
-        return bytes(values)
-    except ValueError:
-        return array("i", values)
-
-
 class Skeleton:
     """One indegree peel of a table, read by every structural layer.
 
-    Every per-point field is an array("i") or bytes, built in a list and
-    converted once; degree and comp are bytes when every value fits:
+    Every per-point field is an array("i"), or bytes for cyclic, built in
+    a list and converted once:
     table   the table
     degree  the number of preimages of each point, before the peel
     cyclic  1 where the indegree never drops to 0 (one cycle preimage
@@ -179,15 +166,16 @@ class Skeleton:
     Every layer reads its skeleton through `skeleton`, which keeps the
     two tables last asked for, so calls on one table share one peel and
     one unmarked labelling.  On a random 10^5-point table (tracemalloc,
-    CPython 3.11) a skeleton holds 0.97 MiB, height and comp 0.48 MiB
+    CPython 3.11) a skeleton holds 1.25 MiB, height and comp 0.76 MiB
     and the unmarked labelling 2.64 MiB, 2.25 of it the certificate's
     tuples; lists of int objects held 5.80, 2.23 and 3.02 MiB.  On 10^6
-    points: 9.6, 4.8 and 24.3 MiB against 58.0, 35.8 and 28.1.  An
+    points: 12.5, 7.6 and 24.3 MiB against 58.0, 35.8 and 28.1.  An
     array holds no references, so one cached random 10^5 skeleton no
-    longer slows a full gc.collect() (1.6-2.0 ms, 1.4-2.2 with none;
-    5.7-10.6 ms with the lists).  A shared skeleton and its labelling
-    are read-only: readers copy before they change anything, and
-    children() and tree_above() build fresh lists on each call.
+    longer slows a full gc.collect() (1.6-1.9 ms, 1.6-2.4 with none;
+    8.4-9.4 ms with the lists; three runs each).  A shared skeleton and
+    its labelling are read-only: readers copy before they change
+    anything, and children() and tree_above() build fresh lists on each
+    call.
     """
 
     def __init__(self, table: Sequence[int]):
@@ -196,7 +184,7 @@ class Skeleton:
         indeg = [0] * n
         for v in table:
             indeg[v] += 1
-        degree = _narrow(indeg)
+        degree = array("i", indeg)
         # one flat Kahn queue: the leaves, then each point as its last
         # acyclic preimage leaves, so the queue runs rank by rank
         rank = [0] * n
@@ -262,10 +250,10 @@ class Skeleton:
         return self._height_and_comp()[0]
 
     @cached_property
-    def comp(self) -> Union[bytes, array]:
+    def comp(self) -> array:
         return self._height_and_comp()[1]
 
-    def _height_and_comp(self) -> tuple[array, Union[bytes, array]]:
+    def _height_and_comp(self) -> tuple[array, array]:
         """Both height and comp in one walk down `ranked`, cached
         together whichever is read first."""
         table, cyclic = self.table, self.cyclic
@@ -279,7 +267,7 @@ class Skeleton:
                 y = table[x]
                 h[x] = h[y] + 1
                 c[x] = c[y]
-        height, comp = array("i", h), _narrow(c)
+        height, comp = array("i", h), array("i", c)
         self.__dict__.update(height=height, comp=comp)
         return height, comp
 
@@ -307,34 +295,13 @@ class Skeleton:
 skeleton = lru_cache(maxsize=2)(Skeleton)
 
 
-def paused(size: int, build: Callable[..., T], *args: object) -> T:
-    """build(*args), with the cyclic garbage collector paused when `size`,
-    the number of objects it builds, is at least ten times the
-    collector's first threshold; the caller's setting comes back, also
-    when build raises.  No build paused here makes a reference cycle, so
-    a collection could free nothing; a smaller build triggers a few
-    cheap young collections at most."""
-    if not gc.isenabled() or size < 10 * gc.get_threshold()[0]:
-        return build(*args)
-    gc.disable()
-    try:
-        return build(*args)
-    finally:
-        gc.enable()
-
-
 def group_points(key: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The points grouped by their int key (a component or orbit number),
     blocks and block list both ascending: a dict keeps its blocks in the
-    order of their least points.  A long key is grouped with the
-    collector paused, as it builds one list and one tuple per block."""
-    return paused(len(key), _group_points, key)
-
-
-def _group_points(key: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    blocks: defaultdict[int, list[int]] = defaultdict(list)
+    order of their least points."""
+    blocks: dict[int, list[int]] = {}
     for x, k in enumerate(key):
-        blocks[k].append(x)
+        blocks.setdefault(k, []).append(x)
     return tuple(map(tuple, blocks.values()))
 
 

@@ -55,9 +55,8 @@ CPython's cyclic garbage collector would pass over them many times.  It
 could free nothing: nothing the labelling builds refers back to itself,
 so reference counting frees all of it.  A table of at least ten times
 the collector's first threshold is therefore labelled with the
-collector paused (core.paused, which also pauses it for grouping points
-and numbering orbits), and the caller's setting comes back, also when
-the labelling raises; the labels are converted to their array inside
+collector paused, and the caller's setting comes back, also when the
+labelling raises; the kept labels are converted to their array inside
 the pause.  The enumeration pauses the collector by the same rule,
 counted in automorphisms, for its closing conversion to tuples alone:
 on at most 256 points it composes byte strings, which the collector
@@ -67,14 +66,16 @@ these free nothing.  Raw tables are checked by core.FiniteMonounary.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from itertools import groupby, pairwise, permutations, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
-from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, paused, skeleton
+from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, skeleton
 
 Certificate = tuple
+T = TypeVar("T")
 
 DEFAULT_AUT_CAP = 100_000
 MAX_AUT_ENTRIES = 10_000_000  # automorphisms times n, the size of the list
@@ -110,9 +111,23 @@ def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
     return i, (j - i if m == k else k)
 
 
+def _paused(size: int, build: Callable[..., T], *args: object) -> T:
+    """build(*args), with the cyclic garbage collector paused when `size`,
+    the number of objects it builds, is at least ten times the
+    collector's first threshold; the caller's setting comes back, also
+    when build raises."""
+    if not gc.isenabled() or size < 10 * gc.get_threshold()[0]:
+        return build(*args)
+    gc.disable()
+    try:
+        return build(*args)
+    finally:
+        gc.enable()
+
+
 def label(
     sk: Skeleton, xs: Sequence[int] = ()
-) -> tuple[Union[array, list[int]], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
+) -> tuple[Sequence[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
     """Canonical tree labels, each cycle's label sequence at its least
     rotation and that rotation's (offset, period), both aligned with
     sk.cycles(), and the certificate, with xs[i] marked by -1 - i.  Large
@@ -121,15 +136,21 @@ def label(
     returned again on every later call, so it is read-only; a marked one
     is built afresh each time, its labels a list."""
     if xs:
-        return paused(len(sk.table), _label, sk, xs)
+        return _paused(len(sk.table), _label, sk, xs)
     if sk.unmarked is None:
-        sk.unmarked = paused(len(sk.table), _label, sk, ())
+        sk.unmarked = _paused(len(sk.table), _kept, sk)
     return sk.unmarked
+
+
+def _kept(sk: Skeleton) -> tuple[array, list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
+    """The unmarked labelling, its labels converted to the array kept."""
+    labels, seqs, rots, cert = _label(sk, ())
+    return array("i", labels), seqs, rots, cert
 
 
 def _label(
     sk: Skeleton, xs: Sequence[int]
-) -> tuple[Union[array, list[int]], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
+) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, int]], Certificate]:
     table, cyclic, ranked = sk.table, sk.cyclic, sk.ranked
     n = len(table)
     # x's child labels so far: (), then its group's shared 1-tuple, then a
@@ -139,7 +160,7 @@ def _label(
         keys_of[xs[i]] = [*keys_of[xs[i]], -1 - i]
     labels = [0] * n
     entries: list[tuple[int, ...]] = []
-    for depth, (lo, hi) in enumerate(pairwise(sk.level_starts)):
+    for lo, hi in pairwise(sk.level_starts):
         base = len(entries)
         if hi - lo == 1:  # a path's levels: nothing to group or sort
             x = ranked[lo]
@@ -156,7 +177,7 @@ def _label(
                     k.append(base)
             continue
         level = ranked[lo:hi]
-        if not (depth or xs):  # unmarked, every key on the bottom level is empty
+        if not (lo or xs):  # unmarked, every key on the bottom level is empty
             entries.append(())
             runs = ((0, level),)
         else:
@@ -197,8 +218,7 @@ def _label(
         r, period = _least_rotation(seq)
         seqs.append(tuple(seq[r:] + seq[:r]))
         rots.append((r, period))
-    # only the unmarked labels are kept, so only they become an array
-    return labels if xs else array("i", labels), seqs, rots, (tuple(entries), tuple(sorted(seqs)))
+    return labels, seqs, rots, (tuple(entries), tuple(sorted(seqs)))
 
 
 def table_certificate(table: Sequence[int], xs: Sequence[int] = ()) -> Certificate:
@@ -382,7 +402,7 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
                 products += map(itemgetter(*p), auts)
         auts = products
     auts.sort()
-    return paused(len(auts), list, map(tuple, auts)) if small else auts
+    return _paused(len(auts), list, map(tuple, auts)) if small else auts
 
 
 def extend_to_automorphism(

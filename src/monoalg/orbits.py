@@ -15,7 +15,7 @@ from itertools import product
 from typing import Sequence
 
 from . import iso
-from .core import FiniteMonounary, Skeleton, group_points, paused, skeleton
+from .core import FiniteMonounary, Skeleton, group_points, skeleton
 from .iso import brute_force_automorphisms
 
 # the orbit walk limit: one orbit_profile walk counts tuples of at most
@@ -30,12 +30,7 @@ MAX_ORBIT_POINTS = 10_000_000
 
 def _point_orbits(sk: Skeleton, xs: Sequence[int] = ()) -> list[int]:
     """Orbit number of every element under the automorphisms fixing
-    each xs[i].  A large table is numbered with the collector paused, as
-    each orbit has a key tuple."""
-    return paused(len(sk.table), _number_orbits, sk, xs)
-
-
-def _number_orbits(sk: Skeleton, xs: Sequence[int]) -> list[int]:
+    each xs[i]."""
     table = sk.table
     labels, seqs, rots, _ = iso.label(sk, xs)
     seq_ids: dict[tuple[int, ...], int] = {}

@@ -27,7 +27,7 @@ from __future__ import annotations
 import re
 from itertools import compress
 from operator import itemgetter, sub
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Optional, Union
 
 from . import core
 from .core import FiniteMonounary, _Record
@@ -504,26 +504,18 @@ def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
     uniform level by level and components with equal cycle size are
     isomorphic, and NotUltrahomogeneous names the first violation."""
     sk = core.skeleton(A.table)
-
-    def kids() -> Iterator[int]:
-        """Acyclic preimage counts, read lazily, as a non-UH table usually
-        fails early: a cyclic element's one cyclic preimage is not a
-        child."""
-        return map(sub, sk.degree, sk.cyclic)
-
+    # acyclic preimages: a cyclic element's one cyclic preimage is not a child
+    kids = list(map(sub, sk.degree, sk.cyclic))
     # one pass: every (component, height) bucket must hold one child count
     counts: dict[tuple[int, int], int] = {}
-    for key, k in zip(zip(sk.comp, sk.height), kids()):
-        if counts.setdefault(key, k) != k:
-            found = set(compress(kids(), map(key.__eq__, zip(sk.comp, sk.height))))
+    top = [0] * (len(sk.cycle_starts) - 1)
+    for x, key in enumerate(zip(sk.comp, sk.height)):
+        if counts.setdefault(key, kids[x]) != kids[x]:
+            found = set(compress(kids, map(key.__eq__, zip(sk.comp, sk.height))))
             raise NotUltrahomogeneous(
                 f"not ultrahomogeneous: level {key[1]} has non-uniform preimage counts {sorted(found)}"
             )
-    # a component's heights run from 0 up without a gap, so its top
-    # height is its number of buckets less one
-    top = [-1] * (len(sk.cycle_starts) - 1)
-    for c, _ in counts:
-        top[c] += 1
+        top[key[0]] = max(top[key[0]], key[1])
     # one profile per cycle size, counted: components with one cycle size
     # must have the same level counts
     levels: dict[int, tuple[int, ...]] = {}
