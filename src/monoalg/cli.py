@@ -221,8 +221,6 @@ _PROPERTIES = {
 
 
 def _cmd_check(args) -> int:
-    from . import homogeneity, symbolic
-
     prop, arg = _PROPERTIES[args.property], args.algebra
     shape = _looks_symbolic(arg)
     if args.oracle and not (prop.decider and prop.search and not shape):
@@ -234,19 +232,25 @@ def _cmd_check(args) -> int:
         raise ValueError(f"property {args.property!r} takes no --k; only {has} do")
     if shape and prop.decider is None:
         raise ValueError(f"property {args.property!r} does not apply to a symbolic shape")
-    if prop.partial:
-        holds = getattr(homogeneity, prop.search)(_load_any(arg))
-    elif args.oracle or prop.decider is None:
-        A, search = _load_total(arg), getattr(homogeneity, prop.search)
-        if args.oracle:
-            holds = search(A, args.bound)
-        elif args.k is None:
-            raise ValueError("this property needs --k")
-        else:
-            holds = search(A, args.k, args.bound)
-    else:
-        S = symbolic.parse(arg) if shape else homogeneity.normal_form(_load_total(arg))
+    if prop.decider and not args.oracle:
+        from . import symbolic
+
+        S = symbolic.parse(arg) if shape else symbolic.normal_form(_load_total(arg))
         holds = getattr(symbolic, prop.decider)(S) if S is not None else prop.finite
+    else:  # the search: under --oracle, or where it is the only way to decide
+        from . import homogeneity
+
+        search = getattr(homogeneity, prop.search)
+        if prop.partial:
+            holds = search(_load_any(arg))
+        else:
+            A = _load_total(arg)
+            if args.oracle:
+                holds = search(A, args.bound)
+            elif args.k is None:
+                raise ValueError("this property needs --k")
+            else:
+                holds = search(A, args.k, args.bound)
     name = prop.reports or args.property.replace("-", "_")
     _emit(args, {"property": name, "holds": holds}, lambda: f"{name}: {str(holds).lower()}")
     return 0 if holds else 1

@@ -27,7 +27,7 @@ multi-operation check.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from . import core, iso, symbolic
 from .core import FiniteMonounary, PartialMonounary
@@ -36,22 +36,14 @@ from .core import FiniteMonounary, PartialMonounary
 # ---------------------------------------------------------------------------
 # fast deciders
 
-def normal_form(A: FiniteMonounary) -> Optional[symbolic.SymbolicAlgebra]:
-    """symbolic.decompose(A), or None when A is not ultrahomogeneous."""
-    try:
-        return symbolic.decompose(A)
-    except symbolic.NotUltrahomogeneous:
-        return None
-
-
 def is_ultrahomogeneous(A: FiniteMonounary) -> bool:
-    return normal_form(A) is not None
+    return symbolic.normal_form(A) is not None
 
 
 def is_partially_homogeneous(A: FiniteMonounary) -> bool:
     """One of the five shapes of symbolic.is_partially_homogeneous, all of
     them ultrahomogeneous."""
-    S = normal_form(A)
+    S = symbolic.normal_form(A)
     return S is not None and symbolic.is_partially_homogeneous(S)
 
 
@@ -182,7 +174,7 @@ class LatticeReport(NamedTuple):
 
 def classify_lattice(A: FiniteMonounary, bound: int = core.DEFAULT_BOUND) -> LatticeReport:
     auts = _auts_for(A, bound, None)
-    S = normal_form(A)
+    S = symbolic.normal_form(A)
     uh = S is not None
     return LatticeReport(
         transitive=uh and symbolic.is_transitive(S),

@@ -25,8 +25,9 @@ algebras; they print but do not parse.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from itertools import compress
-from operator import itemgetter, sub
+from operator import itemgetter, ne
 from typing import Iterable, Optional, Union
 
 from . import core
@@ -498,33 +499,70 @@ class NotUltrahomogeneous(ValueError):
     pass
 
 
+def _non_uniform(level: int, counts: Iterable[int]) -> NotUltrahomogeneous:
+    return NotUltrahomogeneous(
+        f"not ultrahomogeneous: level {level} has non-uniform preimage counts {sorted(set(counts))}"
+    )
+
+
+# flips a cyclic mark, so that compress keeps the acyclic points
+_ACYCLIC = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def decompose(A: FiniteMonounary) -> SymbolicAlgebra:
     """Symbolic normal form of an ultrahomogeneous finite algebra; this
     is the finite UH test: a finite algebra is UH iff its trees are
     uniform level by level and components with equal cycle size are
-    isomorphic, and NotUltrahomogeneous names the first violation."""
+    isomorphic.  NotUltrahomogeneous names one violation, the first of:
+    level 0 with the child counts of the first cycle, in cycles() order,
+    whose points have unequal numbers of acyclic preimages; the height of
+    the first acyclic point, in point order, whose component has another
+    child count at that height, with every count there; a cycle size
+    whose components are not isomorphic.  Level 0 is read off the cycles
+    and the preimage counts alone, so a table that fails there is refused
+    before its heights and components are filled."""
     sk = core.skeleton(A.table)
-    # acyclic preimages: a cyclic element's one cyclic preimage is not a child
-    kids = list(map(sub, sk.degree, sk.cyclic))
-    # one pass: every (component, height) bucket must hold one child count
+    degree, points, starts = sk.degree, sk.cycle_points, sk.cycle_starts
+    # level 0: a cycle point's children are its preimages but its cycle
+    # predecessor, so a cycle is uniform iff each point has the degree of
+    # its image, and the first point that has not lies on the first
+    # non-uniform cycle
+    at = degree.__getitem__
+    odd = compress(range(len(points)), map(ne, map(at, points), map(at, map(sk.table.__getitem__, points))))
+    i = next(odd, None)
+    if i is not None:
+        c = bisect_right(starts, i) - 1
+        raise _non_uniform(0, [at(x) - 1 for x in points[starts[c]:starts[c + 1]]])
+    # above it, one pass over the acyclic points, whose child counts are
+    # their degrees: every (component, height) bucket must hold one count
     counts: dict[tuple[int, int], int] = {}
-    top = [0] * (len(sk.cycle_starts) - 1)
-    for x, key in enumerate(zip(sk.comp, sk.height)):
-        if counts.setdefault(key, kids[x]) != kids[x]:
-            found = set(compress(kids, map(key.__eq__, zip(sk.comp, sk.height))))
-            raise NotUltrahomogeneous(
-                f"not ultrahomogeneous: level {key[1]} has non-uniform preimage counts {sorted(found)}"
-            )
-        top[key[0]] = max(top[key[0]], key[1])
+    if len(points) < len(degree):  # some point is acyclic; else no height is needed
+        for key, d in compress(zip(zip(sk.comp, sk.height), degree), sk.cyclic.translate(_ACYCLIC)):
+            if counts.setdefault(key, d) != d:
+                raise _non_uniform(key[1], compress(degree, map(key.__eq__, zip(sk.comp, sk.height))))
+    top = [0] * (len(starts) - 1)  # each component's height: heights 1..top all have a bucket
+    for c, h in counts:
+        if h > top[c]:
+            top[c] = h
     # one profile per cycle size, counted: components with one cycle size
     # must have the same level counts
     levels: dict[int, tuple[int, ...]] = {}
     copies: dict[int, int] = {}
     for c, size in enumerate(sk.cycle_lengths()):
-        shape = tuple(counts[c, k] for k in range(top[c]))
+        shape = ()
+        if top[c]:  # level 0's one count, from the cycle, then the buckets'
+            shape = (at(points[starts[c]]) - 1, *[counts[c, k] for k in range(1, top[c])])
         if levels.setdefault(size, shape) != shape:
             raise NotUltrahomogeneous(
                 f"not ultrahomogeneous: components with cycle size {size} are not isomorphic"
             )
         copies[size] = copies.get(size, 0) + 1
     return symbolic((Cardinal(m), Profile(size, levels[size])) for size, m in copies.items())
+
+
+def normal_form(A: FiniteMonounary) -> Optional[SymbolicAlgebra]:
+    """decompose(A), or None when A is not ultrahomogeneous."""
+    try:
+        return decompose(A)
+    except NotUltrahomogeneous:
+        return None

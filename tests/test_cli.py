@@ -462,7 +462,7 @@ VERB_CALLS = [
     (["iso", "f: 0 0 0", "f: 1 1 1", "--json"], {"iso"}),
     (["aut", "f: 1 2 3 0", "--json"], {"iso"}),
     (["orbits", "f: 0 0 0", "--n", "2", "--json"], {"iso", "orbits"}),
-    (["check", "uh", "f: 1 2 0", "--json"], {"homogeneity", "iso", "symbolic"}),
+    (["check", "uh", "f: 1 2 0", "--json"], {"symbolic"}),
     (["classify", "f: 1 0 0", "--json"], {"homogeneity", "iso", "symbolic"}),
     (["decompose", "f: 1 2 0", "--json"], {"symbolic"}),
     (["limit", "--k", "1", "--json"], {"symbolic"}),

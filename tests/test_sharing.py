@@ -49,7 +49,7 @@ def _layers(tab, other):
         lambda: core.structure_report(A),
         lambda: symbolic.decompose(A),
         lambda: homogeneity.is_ultrahomogeneous(A),
-        lambda: homogeneity.normal_form(A),
+        lambda: symbolic.normal_form(A),
         lambda: iso.table_certificate(tab),
         lambda: iso.table_certificate(list(tab)),
         lambda: iso.table_certificate(tab, (0, n - 1)),

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monoalg import homogeneity, orbits, symbolic as sym
+from monoalg import core, homogeneity, orbits, symbolic as sym
+from monoalg.core import FiniteMonounary
 from monoalg.symbolic import (
     Bee,
     Cardinal,
@@ -29,6 +30,7 @@ from monoalg.symbolic import (
     show,
     truncate,
 )
+from oracles import tables
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +381,61 @@ def test_decompose_examples():
 def test_decompose_rejects_non_uniform_levels():
     from monoalg.core import validate
 
-    with pytest.raises(NotUltrahomogeneous, match="level 1 has non-uniform preimage counts"):
+    with pytest.raises(NotUltrahomogeneous, match=re.escape("level 1 has non-uniform preimage counts [0, 1]")):
         decompose(validate([0, 0, 0, 1]))
     with pytest.raises(NotUltrahomogeneous, match="cycle size 1"):
         decompose(validate([0, 0, 2]))
+
+
+def test_decompose_refuses_a_non_uniform_cycle_before_filling_heights():
+    A = core.random_algebra(10_000, 1)  # its first cycle has 0 to 3 acyclic preimages a point
+    core.skeleton.cache_clear()
+    with pytest.raises(NotUltrahomogeneous, match=re.escape("level 0 has non-uniform preimage counts [0, 1, 2, 3]")):
+        decompose(A)
+    assert not {"height", "comp"} & vars(core.skeleton(A.table)).keys()
+
+
+def _first_non_uniform_cycle(tab):
+    """From the definitions: the numbers of acyclic preimages on the
+    first cycle, by least point, whose points do not all have as many;
+    None when there is no such cycle."""
+    n = len(tab)
+
+    def orbit(x):  # f(x), f(f(x)), ... n times
+        out = []
+        for _ in range(n):
+            x = tab[x]
+            out.append(x)
+        return out
+
+    cyclic = {x for x in range(n) if x in orbit(x)}
+    for x in sorted(cyclic):
+        cycle = set(orbit(x))
+        if x == min(cycle):
+            counts = {sum(tab[y] == z and y not in cyclic for y in range(n)) for z in cycle}
+            if len(counts) > 1:
+                return counts
+    return None
+
+
+@given(tables(max_n=8))
+@settings(max_examples=80, deadline=None)
+def test_decompose_refuses_exactly_the_oracles_non_uh_tables(tab):
+    """decompose raises exactly when the definition-level oracle says not
+    UH, and names level 0 exactly when some cycle is not uniform, with
+    the counts of the first such cycle."""
+    A = FiniteMonounary(tab)
+    uh = homogeneity.is_ultrahomogeneous_oracle(A)
+    counts = _first_non_uniform_cycle(tab)
+    try:
+        decompose(A)
+    except NotUltrahomogeneous as exc:
+        assert not uh
+        assert ("level 0 " in str(exc)) == (counts is not None), str(exc)
+        if counts is not None:
+            assert str(exc) == f"not ultrahomogeneous: level 0 has non-uniform preimage counts {sorted(counts)}"
+    else:
+        assert uh and counts is None
 
 
 @given(
