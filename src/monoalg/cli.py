@@ -41,6 +41,7 @@ import json
 import os
 import re
 import sys
+from itertools import chain
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import core
@@ -179,8 +180,10 @@ def _cmd_orbits(args) -> int:
     from . import orbits
 
     A = _load_total(args.algebra)
-    profile, orbit = orbits._orbit_walk(A, args.n)  # one skeleton and one unmarked labelling
-    blocks = [list(b) for b in core.group_points(orbit)]
+    walk = orbits.orbit_walk(A, args.n)
+    first = next(walk)  # the unmarked labelling: the 1-orbits, and the profile's first count
+    blocks = [list(b) for b in core.group_points(first[2])]
+    profile = orbits.profile(chain([first], walk))
     _emit(
         args,
         {"profile": profile, "one_orbits": blocks},

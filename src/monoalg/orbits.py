@@ -12,7 +12,7 @@ of each successive stabilizer counts every arity in one walk.
 from __future__ import annotations
 
 from itertools import product
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import iso
 from .core import FiniteMonounary, Skeleton, group_points, skeleton
@@ -53,26 +53,35 @@ def one_orbits(A: FiniteMonounary) -> tuple[tuple[int, ...], ...]:
 
 def orbit_profile(A: FiniteMonounary, up_to: int) -> list[int]:
     """Orbit counts of k-tuples (coordinates may repeat) for k = 1..up_to."""
-    return _orbit_walk(A, up_to)[0]
+    return profile(orbit_walk(A, up_to))
 
 
-def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
-    """orbit_profile's counts, and the orbit number of every element,
-    read off the walk's first, unmarked labelling.
+def profile(walk: Iterable[tuple[int, tuple[int, ...], list[int]]]) -> list[int]:
+    """Orbit counts of k-tuples for each arity k that orbit_walk's triples
+    reach: an orbit numbering has one number per representative x."""
+    counts: dict[int, int] = {}  # by arity, which the walk takes in increasing order
+    for arity, _, orbit in walk:
+        counts[arity] = counts.get(arity, 0) + max(orbit) + 1  # orbit numbers are dense from 0
+    return list(counts.values())
 
-    Arity by arity, one labelling per orbit of the arity below marks one
-    representative per orbit of that tuple's stabilizer.  A stabilizer has
-    at least as many orbits as the whole group, so the representatives
-    found bound the labellings still to come from below; the walk fails
-    as soon as that bound exceeds MAX_ORBIT_LABELLINGS, or the bound
-    times n exceeds MAX_ORBIT_POINTS, before it does them, and up_to may
-    not exceed MAX_ORBIT_ARITY."""
+
+def orbit_walk(A: FiniteMonounary, up_to: int) -> Iterator[tuple[int, tuple[int, ...], list[int]]]:
+    """Yield (arity, xs, orbit) for each labelling of the walk to arity
+    up_to: first (1, (), the orbit number of every element), then, arity
+    by arity, one triple per representative (arity - 1)-tuple xs, with
+    the orbit numbering of the automorphisms fixing every xs[i].  The
+    arity-k representatives are xs + (x,), one x per orbit number.
+
+    A stabilizer has at least as many orbits as the whole group, so the
+    representatives found bound the labellings still to come from below;
+    the walk fails as soon as that bound exceeds MAX_ORBIT_LABELLINGS, or
+    the bound times n exceeds MAX_ORBIT_POINTS, before it does them, and
+    up_to may not exceed MAX_ORBIT_ARITY."""
     if up_to < 1:
         raise ValueError("arity must be positive")
     if up_to > MAX_ORBIT_ARITY:
         raise ValueError(f"orbit profile to arity {up_to} is over the orbit walk limit of arity {MAX_ORBIT_ARITY}")
     points = range(A.n)
-    counts: list[int] = []
     spent = 0
     ones = 1  # the number of 1-orbits, once the first labelling is done
 
@@ -98,20 +107,17 @@ def _orbit_walk(A: FiniteMonounary, up_to: int) -> tuple[list[int], list[int]]:
     reserve(1, 1)  # checked before the skeleton is built
     sk = skeleton(A.table)
     first = _point_orbits(sk)  # arity 1's one labelling, xs = ()
-    ones = max(first) + 1  # orbit numbers are dense from 0
+    ones = max(first) + 1
     for arity in range(1, up_to + 1):
         spent += len(level)
         found: list[tuple[int, ...]] = []
-        count = 0
         for xs in level:
-            reps = dict(zip(_point_orbits(sk, xs) if xs else first, points)).values()
-            count += len(reps)
+            orbit = _point_orbits(sk, xs) if xs else first
+            yield arity, xs, orbit
             if arity < up_to:
-                found.extend(xs + (x,) for x in reps)
+                found.extend(xs + (x,) for x in dict(zip(orbit, points)).values())
                 reserve(len(found), arity + 1)
-        counts.append(count)
         level = found
-    return counts, first
 
 
 def n_orbit_count(A: FiniteMonounary, k: int) -> int:
