@@ -76,7 +76,9 @@ def _default_bound() -> int:
 
 
 def _load_any(arg: str):
-    """Finite or partial algebra from path, inline table/JSON, or random:N:SEED."""
+    """Finite or partial algebra from path, inline table/JSON, or random:N:SEED.
+    An operand that is none of these but reads as a symbolic shape is
+    refused as one."""
     if os.path.exists(arg):
         with open(arg) as fh:
             text = fh.read().strip()
@@ -94,6 +96,11 @@ def _load_any(arg: str):
     try:
         return core.from_text(arg)
     except ValueError as exc:
+        if _looks_symbolic(arg):
+            raise ValueError(
+                f"{arg!r} is a symbolic shape, not a table; the verbs that read shapes are check, instantiate"
+                " and truncate"
+            ) from None
         raise ValueError(f"no such file {arg!r}, and not an inline table either ({exc})") from None
 
 

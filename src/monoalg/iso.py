@@ -69,6 +69,7 @@ from __future__ import annotations
 import gc
 from array import array
 from itertools import groupby, pairwise, permutations, repeat
+from math import log10, prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
@@ -79,6 +80,7 @@ T = TypeVar("T")
 
 DEFAULT_AUT_CAP = 100_000
 MAX_AUT_ENTRIES = 10_000_000  # automorphisms times n, the size of the list
+MAX_ORDER_BITS = 1 << 20  # the group orders a refusal states exactly, in bits of their factor sizes
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +286,27 @@ def brute_force_automorphisms(A: FiniteMonounary, bound: int = DEFAULT_BOUND) ->
     return list(partial_iso_images([A.table], range(A.n), range(A.n)))
 
 
+def _order_text(sizes: list[int]) -> str:
+    """The group order, the product of the factor sizes, as the cap's
+    refusal states it: in full up to 30 digits, else by its number of
+    digits, which its bit length gives to within one and one power of
+    ten settles (str() refuses an int longer than
+    sys.get_int_max_str_digits()).  The sizes are multiplied pairwise,
+    so that each product is of two numbers of like length; past
+    MAX_ORDER_BITS bits of sizes the order is bounded from below instead,
+    each size by 2 ** (its bit length - 1)."""
+    if sum(s.bit_length() for s in sizes) > MAX_ORDER_BITS:
+        low = sum(s.bit_length() - 1 for s in sizes)
+        return f"of at least {int(low * log10(2)) + 1} digits"
+    while len(sizes) > 1:
+        sizes = [prod(sizes[i:i + 2]) for i in range(0, len(sizes), 2)]
+    order = sizes[0]
+    if order < 10**30:
+        return str(order)
+    digits = int((order.bit_length() - 1) * log10(2)) + 1  # those of 2 ** (bit length - 1)
+    return f"of {digits + (order >= 10**digits)} digits"
+
+
 def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
     """All automorphisms, sorted, as the products f0 o f1 o ... of small
     factor sets, one pick from each; every automorphism is exactly one
@@ -299,7 +322,8 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
 
     The factor sizes are multiplied first; if the count exceeds `cap`,
     or the count times n exceeds MAX_AUT_ENTRIES, the call fails before
-    any factor permutation is built.
+    any factor permutation is built.  Only the cap's refusal multiplies
+    all of them, to state the group's order.
 
     When every point fits in a byte (n <= 256) the products are byte
     strings: a pick p is applied to a product a as a.translate(t), t
@@ -339,7 +363,7 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
     for size in sizes:
         total *= size
         if total > cap:
-            raise ValueError(f"automorphism count {total}+ exceeds cap {cap}")
+            raise ValueError(f"automorphism count {_order_text(sizes)} exceeds cap {cap}")
     n = A.n
     if total * n > MAX_AUT_ENTRIES:
         raise ValueError(f"{total} automorphisms on {n} points exceed the limit of {MAX_AUT_ENTRIES} listed entries")

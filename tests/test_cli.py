@@ -176,6 +176,23 @@ def test_pseudoforest_check_refuses_a_shape(capsys, shape):
     assert (code, out, err) == (2, "", "error: property 'pf-uh' does not apply to a symbolic shape\n")
 
 
+# one call per verb that reads tables only, with a symbolic shape operand
+SHAPE_OPERANDS = [
+    ["analyze", "Z3"], ["decompose", "Z3"], ["aut", "Z3"], ["iso", "Z3", "Z3"], ["classify", "Z3"],
+    ["orbits", "A[1;w]"], ["semilinear", "Z3", "--root", "0"], ["export-dot", "Z3"],
+]
+
+
+@pytest.mark.parametrize("argv", SHAPE_OPERANDS, ids=[argv[0] for argv in SHAPE_OPERANDS])
+def test_table_verbs_refuse_a_shape_by_name(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {argv[1]!r} is a symbolic shape, not a table;"
+        " the verbs that read shapes are check, instantiate and truncate\n"
+    )
+
+
 def test_long_syntax_error_is_quoted_short(capsys):
     code, _, err = run(capsys, "check", "uh", "A[1;" + "1," * 20_000)
     assert code == 2 and "not a shape term" in err and "(40004 characters)" in err

@@ -258,6 +258,18 @@ def test_cap_refuses_to_materialize():
         iso.brute_force_automorphisms(validate([0] * 9))
 
 
+@pytest.mark.parametrize("table, order", [
+    ([0] * 11, "3628800"),  # a loop with 10 leaves: the count passes the cap at 9!, the order is 10!
+    (list(range(40)), "of 48 digits"),  # 40 loops, 40!
+    (list(range(2000)), "of 5736 digits"),  # 2000!, longer than str() writes by default
+    (list(range(70_000)), "of at least 297703 digits"),  # past MAX_ORDER_BITS: a lower bound
+], ids=["short", "long", "over-str-limit", "bounded"])
+def test_cap_refusal_states_the_group_order(table, order):
+    with pytest.raises(ValueError) as exc:
+        iso.enumerate_automorphisms(validate(table))
+    assert str(exc.value) == f"automorphism count {order} exceeds cap {iso.DEFAULT_AUT_CAP}"
+
+
 def test_list_size_is_bounded_before_any_factor_is_built():
     """A[1;8] (a loop with 8 leaves) has 8! = 40320 automorphisms; next
     to a rigid 300-point path, listing them would take 40320 * 309

@@ -120,6 +120,29 @@ def test_label_count_matches_union_find(tab, k):
     assert orbits.n_orbit_count(A, k) == orbits.n_orbit_count_bruteforce(A, k, auts=auts)
 
 
+@given(tables(max_n=5), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_walk_yields_each_stabilizers_orbits(tab, up_to):
+    """Each (k, xs, orbit) the walk yields numbers the orbits of the
+    automorphisms fixing every xs[i], and the arity-k representatives
+    xs + (x,) lie one in each k-tuple orbit."""
+    A = FiniteMonounary(tab)
+    auts = brute_force_automorphisms(A)
+    reps: dict[int, list[tuple[int, ...]]] = {}
+    for k, xs, orbit in orbits.orbit_walk(A, up_to):
+        assert len(xs) == k - 1
+        fixing = [p for p in auts if all(p[x] == x for x in xs)]
+        for x in range(A.n):
+            for y in range(A.n):
+                assert (orbit[x] == orbit[y]) == any(p[x] == y for p in fixing)
+        reps.setdefault(k, []).extend(xs + (x,) for x in dict(zip(orbit, range(A.n))).values())
+    assert sorted(reps) == list(range(1, up_to + 1))
+    for k, ts in reps.items():
+        images = [{tuple(p[x] for x in t) for p in auts} for t in ts]
+        assert all(a.isdisjoint(b) for i, a in enumerate(images) for b in images[i + 1:])
+        assert len(ts) == orbits.n_orbit_count_bruteforce(A, k, auts=auts)
+
+
 @given(tables(max_n=5))
 @settings(max_examples=50, deadline=None)
 def test_one_orbits_match_automorphism_action(tab):
