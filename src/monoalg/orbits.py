@@ -6,7 +6,13 @@ component's least-rotated label sequence and its phase modulo that
 sequence's period, an acyclic x by the orbit of f(x) and its own label.
 The k-tuple orbits starting in the orbit of x1 are the (k-1)-tuple
 orbits of the stabilizer of x1, so marking one representative per orbit
-of each successive stabilizer counts every arity in one walk.
+of each successive stabilizer reaches every arity in one walk.
+orbit_walk is that walk, a generator of one (arity, xs, orbit) triple
+per labelling: first (1, (), the whole group's orbit numbering), then
+for each arity k >= 2 one triple per representative (k-1)-tuple xs,
+with the orbit numbering of its stabilizer; the k-tuple representatives
+are xs + (x,), one x per orbit number.  profile counts the orbits of
+every arity off the triples, for orbit_profile and the orbits verb.
 """
 
 from __future__ import annotations
