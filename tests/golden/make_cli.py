@@ -56,7 +56,9 @@ A18_PATH = "f: " + " ".join(map(str, [0] * 9 + [9] + list(range(9, 308))))
 def grid() -> list[tuple[list[str], dict[str, str]]]:
     """Every call as (argv, env)."""
     calls: list[list[str]] = []
-    json_too = lambda argv: calls.extend([argv, argv + ["--json"]])  # noqa: E731
+
+    def json_too(argv: list[str]) -> None:
+        calls.extend([argv, argv + ["--json"]])
 
     # an operand the loader refuses is refused alike with --json: that is
     # shown on analyze alone
