@@ -26,7 +26,8 @@ the default oracle bound (otherwise 8); it and --bound must be at least 1.
 run() is the process entry, which `python -m monoalg.cli` and the
 `monoalg` script call: it flushes the answer and leaves without the
 interpreter's teardown, and a closed pipe exits 2.  main() is the
-in-process entry, which returns the exit code.
+in-process entry, which returns the exit code; it builds the parser once
+per process and reads MONOALG_BOUND on every call.
 
 Each verb imports only the modules it reads, so a call pays only for
 the code it runs; the parser reads its limits from core.  README's
@@ -37,11 +38,12 @@ Command line section lists the limits that bound each verb's work.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from . import core
@@ -170,12 +172,12 @@ def _cmd_aut(args) -> int:
     A = _load_total(args.algebra)
     if args.oracle:
         auts = iso.brute_force_automorphisms(A, bound=args.bound)
-    else:
-        auts = iso.enumerate_automorphisms(A)
+    else:  # byte strings on at most 256 points: iterating one gives its points
+        auts = iso.automorphism_images(A)
     # each row is written from the points' names, as json.dumps and
-    # str(list(p)) would write it
+    # str(list(p)) would write it, by one map that runs in C
     names = list(map(str, range(A.n)))
-    rows = [", ".join(map(names.__getitem__, p)) for p in auts]
+    rows = map(", ".join, map(map, repeat(names.__getitem__), auts))
     if args.json:
         print(f'{{"count": {len(auts)}, "automorphisms": [[' + "], [".join(rows) + "]]}")
     else:
@@ -415,10 +417,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every verb.  --bound has no default of its own: main
+    gives it one from MONOALG_BOUND on each call, so that one parser
+    serves every call in a process."""
     parser = _Parser(prog="monoalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    default_bound = _default_bound()  # read for every verb, so a bad value always fails
 
     def verb(name, run, **kwargs) -> argparse.ArgumentParser:
         """The verb's parser, naming `run` as the handler that main calls."""
@@ -432,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(name)
         p.add_argument("--json", action="store_true")
         if bound:
-            p.add_argument("--bound", type=_bound, default=default_bound)
+            p.add_argument("--bound", type=_bound, default=argparse.SUPPRESS)
 
     operands(verb("analyze", _cmd_analyze, help="structural report"), "algebra")
 
@@ -487,9 +490,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # MONOALG_BOUND is read on every call, for every verb, so that a
+        # bad value always fails; --bound, when given, overrides it
+        defaults = argparse.Namespace(bound=_default_bound())
+        args = _parser().parse_args(argv, defaults)
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

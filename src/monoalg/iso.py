@@ -33,12 +33,16 @@ equivalent to the existence of an isomorphism matching the marks.
 The automorphism group factors uniquely into small sets of aligned
 moves, as in a stabilizer chain: swaps of isomorphic components and of
 equal-labelled sibling trees, and the rotations of each cycle by
-multiples of its period.  enumerate_automorphisms multiplies the factor
+multiples of its period.  automorphism_images multiplies the factor
 sizes into the group order and checks it against the cap, and the list's
 size against MAX_AUT_ENTRIES, before it builds any factor, then composes
 the factors' permutations in C: on at most 256 points as byte strings,
 each factor applied with bytes.translate and the products sorted by
-memcmp, on more points as tuples.
+memcmp, on more points as tuples.  The `aut` verb writes its rows from
+these images as they are.  enumerate_automorphisms turns the byte
+strings into tuples in one pass: it joins them into one string, frees
+them, and unpacks the tuples from the joined string with struct, so
+that the strings and the tuples are never alive at once.
 
 Every function here that takes an algebra or a table reads its
 skeleton from core.skeleton, and the unmarked labelling is kept on the
@@ -57,10 +61,10 @@ so reference counting frees all of it.  A table of at least ten times
 the collector's first threshold is therefore labelled with the
 collector paused, and the caller's setting comes back, also when the
 labelling raises; the kept labels are converted to their array inside
-the pause.  The enumeration pauses the collector by the same rule,
-counted in automorphisms, for its closing conversion to tuples alone:
-on at most 256 points it composes byte strings, which the collector
-does not track, so only that conversion triggers collections, and
+the pause.  enumerate_automorphisms pauses the collector by the same
+rule, counted in automorphisms, for its closing unpacking to tuples
+alone: on at most 256 points the products are byte strings, which the
+collector does not track, so only the tuples trigger collections, and
 these free nothing.  Raw tables are checked by core.FiniteMonounary.
 """
 
@@ -71,6 +75,7 @@ from array import array
 from itertools import groupby, pairwise, permutations, repeat
 from math import log10, prod
 from operator import itemgetter
+from struct import iter_unpack
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
 from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, skeleton
@@ -307,12 +312,16 @@ def _order_text(sizes: list[int]) -> str:
     return f"of {digits + (order >= 10**digits)} digits"
 
 
-def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
-    """All automorphisms, sorted, as the products f0 o f1 o ... of small
-    factor sets, one pick from each; every automorphism is exactly one
-    such product.  With every child list sorted by label, the breadth-
-    first lists of two equal-labelled trees align point by point, and
-    so do two isomorphic components read from their least rotations.
+def automorphism_images(
+    A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP
+) -> Union[list[bytes], list[tuple[int, ...]]]:
+    """All automorphisms, sorted, each as its sequence of images: byte
+    strings on at most 256 points, tuples on more.  They are the
+    products f0 o f1 o ... of small factor sets, one pick from each;
+    every automorphism is exactly one such product.  With every child
+    list sorted by label, the breadth-first lists of two equal-labelled
+    trees align point by point, and so do two isomorphic components read
+    from their least rotations.
     A run of s isomorphic components, or of s equal-labelled siblings,
     gives s - 1 factors: factor i is the identity and the aligned swaps
     of block i with each later block.  Each component also gives the
@@ -332,7 +341,8 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
     identity and involutive swaps, or all rotations by multiples of a
     period), so these are the inverses of the products f0 o f1 o ...,
     again every automorphism exactly once.  Byte strings of one length
-    sort as the tuples of their bytes, and are turned into tuples last.
+    sort as the tuples of their bytes, and iterating one gives its
+    points, so the `aut` verb writes its rows from them as they are.
     On more points the products are tuples, a o p by itemgetter.
     """
     sk = skeleton(A.table)
@@ -426,7 +436,20 @@ def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> l
                 products += map(itemgetter(*p), auts)
         auts = products
     auts.sort()
-    return _paused(len(auts), list, map(tuple, auts)) if small else auts
+    return auts
+
+
+def enumerate_automorphisms(A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP) -> list[tuple[int, ...]]:
+    """All automorphisms as tuples, sorted: automorphism_images, whose
+    byte strings on at most 256 points are joined into one, and freed
+    before the tuples are unpacked from it in one struct pass, so that
+    the strings and the tuples are never held at once."""
+    auts = automorphism_images(A, cap)
+    if A.n > 256:
+        return auts
+    count, joined = len(auts), b"".join(auts)
+    auts.clear()
+    return _paused(count, list, iter_unpack(f"{A.n}B", joined))
 
 
 def extend_to_automorphism(

@@ -477,9 +477,12 @@ def instantiate(S: SymbolicAlgebra, omega_value: int) -> FiniteMonounary:
 def truncate(S: SymbolicAlgebra, h: int, max_cycle: Optional[int] = None) -> SymbolicAlgebra:
     """Cut every component to height at most h (tails expand into
     prefixes).  Families materialize into one profile per cycle length up
-    to `max_cycle`, which is then required."""
+    to `max_cycle`, which is then required; a given `max_cycle` is at
+    least 1, with or without families."""
     if h < 0:
         raise ValueError("height must be nonnegative")
+    if max_cycle is not None and max_cycle < 1:
+        raise ValueError(f"max_cycle must be at least 1, got {max_cycle}")
     comps: list[tuple[Cardinal, Descriptor]] = []
     for mult, desc in S.components:
         if not isinstance(desc, Profile):

@@ -580,3 +580,16 @@ def test_a_closed_pipe_exits_2(argv, lines, unbuffered):
             reader.close()
             _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2 and err == b"error: [Errno 32] Broken pipe\n"
+
+
+def test_one_parser_reads_the_bound_env_on_every_call(capsys, monkeypatch):
+    """The parser is built once per process, and each main call reads
+    MONOALG_BOUND anew."""
+    monkeypatch.setenv("MONOALG_BOUND", "3")
+    assert run(capsys, "aut", "f: 0 0 0 1", "--oracle") == (2, "", "error: bound exceeded: n=4 > 3\n")
+    monkeypatch.setenv("MONOALG_BOUND", "4")
+    assert run(capsys, "aut", "f: 0 0 0 1", "--oracle") == (0, "[0, 1, 2, 3]\n", "")
+    monkeypatch.setenv("MONOALG_BOUND", "x")
+    code, _, err = run(capsys, "aut", "f: 0 0 0 1")
+    assert code == 2 and "MONOALG_BOUND must be an integer of at least 1, got 'x'" in err
+    assert cli._parser() is cli._parser()

@@ -2,8 +2,11 @@
 cross-checked against permutation brute force."""
 
 import gc
+import json
 import random
+import sys
 import time
+import tracemalloc
 from enum import IntEnum
 from itertools import product
 
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from monoalg import core, iso, symbolic
+from monoalg import cli, core, iso, symbolic
 from monoalg.core import FiniteMonounary, Skeleton, random_algebra, validate
 from oracles import exists_iso, inverse, iso_bijections, partial_iso_images, symmetric_tables, tables
 
@@ -212,6 +215,23 @@ def test_enumeration_converts_to_tuples_with_the_collector_paused():
     assert len(auts) == 40_320 and len(ran) <= 1 and gc.isenabled()
 
 
+def test_enumeration_frees_the_byte_strings_before_building_the_tuples():
+    """4*Z3 + A[1;3,2] has 93 312 automorphisms on 22 points.  The byte
+    strings are joined and freed before the tuples are unpacked, so the
+    peak exceeds the finished list by less than the strings' own size;
+    holding both at once exceeds it by more."""
+    A = symbolic.instantiate(symbolic.parse("4*Z3 + A[1;3,2]"), 1)
+    iso.enumerate_automorphisms(A)  # caches the skeleton and its labelling outside the measure
+    tracemalloc.start()
+    try:
+        auts = iso.enumerate_automorphisms(A)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(auts), A.n) == (93_312, 22)
+    assert peak - kept < len(auts) * sys.getsizeof(bytes(A.n))
+
+
 def test_kernels_leave_the_collector_as_they_found_it():
     A = random_algebra(10_000, 4)
     sk = Skeleton(A.table)
@@ -327,16 +347,21 @@ def test_group_orders_above_brute_force_reach(text, order):
     assert auts == sorted(auts)
 
 
+def _padded_to_either_side_of_256():
+    """2*A[1;3], relabelled, and that group padded by a rigid path to 256
+    and 257 points, by size; the group component takes the top numbers,
+    so 255 and 256 are moved."""
+    G = _relabelled(symbolic.instantiate(symbolic.parse("2*A[1;3]"), 1), random.Random(256))
+    return G, {n: validate([0] + list(range(n - G.n - 1)) + [n - G.n + y for y in G.table]) for n in (256, 257)}
+
+
 def test_groups_on_either_side_of_256_points():
     """Up to 256 points the products are composed as bytes, above as
-    tuples.  A rigid path pads 2*A[1;3], relabelled, to 256 and 257
-    points; the group component takes the top numbers, so 255 and 256
-    are moved."""
-    G = _relabelled(symbolic.instantiate(symbolic.parse("2*A[1;3]"), 1), random.Random(256))
+    tuples."""
+    G, padded = _padded_to_either_side_of_256()
     on_component = []
-    for n in (256, 257):
+    for n, A in padded.items():
         top = n - G.n
-        A = validate([0] + list(range(top - 1)) + [top + y for y in G.table])
         auts = iso.enumerate_automorphisms(A)
         assert len(auts) == len(set(auts)) == 2 * 6**2  # swap the components, permute each one's 3 leaves
         assert auts == sorted(auts)
@@ -346,6 +371,19 @@ def test_groups_on_either_side_of_256_points():
             assert p[:top] == tuple(range(top))
         on_component.append([tuple(x - top for x in p[top:]) for p in auts])
     assert on_component[0] == on_component[1] == iso.brute_force_automorphisms(G)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_aut_writes_the_enumeration_on_either_side_of_256_points(capsys, n):
+    """Through cli.main, `aut` writes each automorphism as str(list(p))
+    and `aut --json` writes json.dumps of the list: the rows are read
+    from byte strings up to 256 points and from tuples above."""
+    A = _padded_to_either_side_of_256()[1][n]
+    auts = iso.enumerate_automorphisms(A)
+    assert cli.main(["aut", core.to_text(A)]) == 0
+    assert capsys.readouterr().out == "".join(f"{list(p)}\n" for p in auts)
+    assert cli.main(["aut", core.to_text(A), "--json"]) == 0
+    assert capsys.readouterr().out == json.dumps({"count": len(auts), "automorphisms": auts}) + "\n"
 
 
 def test_extend_to_automorphism():

@@ -366,6 +366,9 @@ def test_truncate():
     assert show(truncate(fraisse_limit(2), 3, max_cycle=2)) == "w*A[1;1,2,2] + w*A[2;1,2,2]"
     with pytest.raises(ValueError, match="max_cycle"):
         truncate(fraisse_limit(), 2)
+    for S, max_cycle in ((fraisse_limit(2), 0), (parse("A[1;w]"), -1)):  # with and without a family
+        with pytest.raises(ValueError, match=f"^max_cycle must be at least 1, got {max_cycle}$"):
+            truncate(S, 2, max_cycle=max_cycle)
     with pytest.raises(ValueError):
         truncate(parse("N"), 2)
     with pytest.raises(ValueError):
