@@ -1,7 +1,8 @@
 """Answers pinned by digest: the sha256 of repr() of each answer, as
-computed before the skeleton was stored as flat arrays.  A change to how
-the skeleton or the labelling is held must leave every one of these
-byte-identical."""
+computed before the skeleton was stored as flat arrays; the 9-point
+corpus as computed while enumeration still labelled each class afresh.
+A change to how the skeleton, the labelling or the corpus is built must
+leave every one of these byte-identical."""
 
 import hashlib
 
@@ -22,6 +23,12 @@ def test_certificates_of_every_class_up_to_7_points():
     ]
     assert len(certs) == 550
     assert _digest(certs) == "48924420f1b777f9a09e90e8059ccb24c24458d1734c71418fb4e9184cd13efc"
+
+
+def test_every_class_on_9_points():
+    corpus = enumerate_up_to_iso(9)
+    assert len(corpus.representatives) == 2615
+    assert _digest(corpus) == "dbabb3bbd3558bd731085f35c83f68e4f3bbda63ea7d1e3deacd60f488829597"
 
 
 def test_answers_on_a_random_10_5_point_table():
