@@ -12,18 +12,16 @@ SIAM J. Comput. 1980) and no raw table is ever swept:
 
 Each class is laid out once and relabelled to the lexicographically
 least table of its class, and the corpus lists these ascending: the list
-a sweep over all n^n tables bucketed by certificate would give.
-Generation costs about one labelling per class, so n is capped at
-core.MAX_POINTS = 12 (57903 classes).
+a sweep over all n^n tables bucketed by certificate would give.  n is
+capped at core.MAX_POINTS = 12 (57903 classes).
 """
 
 from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import MAX_POINTS, FiniteMonounary, Skeleton
+from .core import MAX_POINTS, FiniteMonounary
 from .iso import _least_rotation
-from .orbits import _point_orbits
 
 
 class Corpus(NamedTuple):
@@ -72,27 +70,32 @@ def _rooted_trees(n: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
     return kids, sizes, upto
 
 
-def _connected_tables(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
-    """One table per connected class on at most n points, numbered by
-    size: the cycle 0 -> 1 -> ... -> k-1 -> 0, then the trees hanging
-    from the cycle points in order, each laid out breadth first; with
-    the number of tables on at most s points for each s."""
+def _connected_tables(n: int) -> tuple[list[tuple[tuple[int, ...], ...]], list[int]]:
+    """One connected class on at most n points per entry, numbered by
+    size: its table, the cycle 0 -> 1 -> ... -> k-1 -> 0 then the trees
+    hanging from the cycle points in order, each breadth first; each
+    point's type, its phase modulo the period on the cycle, else its
+    tree's id; and each point's cycle length, 0 off the cycle.  With the
+    number of classes on at most s points for each s."""
     kids, sizes, tree_upto = _rooted_trees(n)
     tables, upto = [], [0]
     for m in range(1, n + 1):
         for first in range(tree_upto[m]):
             for rest in _sequences(sizes, tree_upto, m - sizes[first], first):
                 seq = (first,) + rest
-                if _least_rotation(seq)[0]:
+                rot, period = _least_rotation(seq)
+                if rot:
                     continue  # not the least rotation
                 k = len(seq)
                 table = [(j + 1) % k for j in range(k)]
+                types = [j % period for j in range(k)]
                 queue = list(zip(range(k), seq))
                 for node, tree in queue:
                     for child in kids[tree]:
                         queue.append((len(table), child))
                         table.append(node)
-                tables.append(tuple(table))
+                        types.append(child)
+                tables.append((tuple(table), tuple(types), (k,) * k + (0,) * (m - k)))
         upto.append(len(tables))
     return tables, upto
 
@@ -100,8 +103,9 @@ def _connected_tables(n: int) -> tuple[list[tuple[int, ...]], list[int]]:
 # ---------------------------------------------------------------------------
 # least table of a class
 
-def _least_table(table: Sequence[int]) -> tuple[int, ...]:
-    """The lexicographically least table isomorphic to `table`.
+def _least_table(table: Sequence[int], orbit: Sequence[tuple], cycle_len: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically least table isomorphic to `table`, given each
+    point's cycle length (0 off a cycle) and (class id, type) orbit key.
 
     Labels 0, 1, ... go to points in turn; position i of the new table is
     the label of f(p) for the point p labelled i, where f(p) keeps its
@@ -111,18 +115,16 @@ def _least_table(table: Sequence[int]) -> tuple[int, ...]:
       children;
     - failing that, the unlabelled points are whole components, and p
       starts a shortest unlabelled cycle, which closes soonest.
-    Candidates in one automorphism orbit are interchangeable by an
-    automorphism fixing every labelled point (for siblings, the orbit is
-    the tree label), so one is tried per orbit.  All labellings whose
-    prefix ties the least one are carried along together."""
+    Candidates with one orbit key (siblings with one tree id, or cycle
+    points in copies of one class at one phase) are interchangeable by
+    an automorphism fixing every labelled point, so one is tried per
+    key.  All labellings whose prefix ties the least one are carried
+    along together."""
     n = len(table)
-    sk = Skeleton(table)
-    orbit = _point_orbits(sk)
-    kids = sk.children()
-    cycle_len = [0] * n
-    for cycle in sk.cycles():
-        for x in cycle:
-            cycle_len[x] = len(cycle)
+    kids: list[list[int]] = [[] for _ in table]
+    for x, v in enumerate(table):
+        if not cycle_len[x]:
+            kids[v].append(x)
     # a state: label per point (-1 if none), points in label order, and
     # the least label that may still have unlabelled children
     states = [([-1] * n, [], 0)]
@@ -164,14 +166,15 @@ def enumerate_up_to_iso(n: int) -> Corpus:
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"n must be between 1 and {MAX_POINTS}, got {n}")
     connected, upto = _connected_tables(n)
-    sizes = list(map(len, connected))
+    sizes = [len(t) for t, _, _ in connected]
     reps = []
     for parts in _multisets(sizes, upto, n, len(connected)):
-        table: list[int] = []
+        table, orbit, cycle_len = [], [], []
         for c in parts:
-            base = len(table)
-            table += (base + v for v in connected[c])
-        reps.append(_least_table(table))
+            table += [len(table) + v for v in connected[c][0]]
+            orbit += [(c, t) for t in connected[c][1]]
+            cycle_len += connected[c][2]
+        reps.append(_least_table(table, orbit, cycle_len))
     reps.sort()
     return Corpus(n, tuple(FiniteMonounary(t) for t in reps))
 

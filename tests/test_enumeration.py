@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from monoalg import core, enumeration
+from monoalg import core, enumeration, iso
 from monoalg.iso import table_certificate
 from oracles import exists_iso, least_relabelling, polya_class_counts, sweep_corpus
 
@@ -58,6 +58,18 @@ def test_every_table_matches_exactly_one_representative():
 
 def test_enumeration_is_deterministic():
     assert enumeration.enumerate_up_to_iso(5) == enumeration.enumerate_up_to_iso(5)
+
+
+def test_enumeration_builds_no_skeleton_and_no_labelling(monkeypatch):
+    """The generator's tree ids and cycle phases tell the interchangeable
+    candidates apart, so no class is peeled or labelled afresh."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumeration built a skeleton or a labelling")
+
+    monkeypatch.setattr(core.Skeleton, "__init__", refuse)
+    monkeypatch.setattr(iso, "_label", refuse)
+    assert len(enumeration.enumerate_up_to_iso(8).representatives) == 951
 
 
 def test_bounds():
