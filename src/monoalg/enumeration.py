@@ -70,13 +70,13 @@ def _rooted_trees(n: int) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
     return kids, sizes, upto
 
 
-def _connected_tables(n: int) -> tuple[list[tuple[tuple[int, ...], ...]], list[int]]:
+def _connected_tables(n: int) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...], int]], list[int]]:
     """One connected class on at most n points per entry, numbered by
     size: its table, the cycle 0 -> 1 -> ... -> k-1 -> 0 then the trees
     hanging from the cycle points in order, each breadth first; each
     point's type, its phase modulo the period on the cycle, else its
-    tree's id; and each point's cycle length, 0 off the cycle.  With the
-    number of classes on at most s points for each s."""
+    tree's id; and its cycle length.  With the number of classes on at
+    most s points for each s."""
     kids, sizes, tree_upto = _rooted_trees(n)
     tables, upto = [], [0]
     for m in range(1, n + 1):
@@ -95,7 +95,7 @@ def _connected_tables(n: int) -> tuple[list[tuple[tuple[int, ...], ...]], list[i
                         queue.append((len(table), child))
                         table.append(node)
                         types.append(child)
-                tables.append((tuple(table), tuple(types), (k,) * k + (0,) * (m - k)))
+                tables.append((tuple(table), tuple(types), k))
         upto.append(len(tables))
     return tables, upto
 
@@ -171,9 +171,10 @@ def enumerate_up_to_iso(n: int) -> Corpus:
     for parts in _multisets(sizes, upto, n, len(connected)):
         table, orbit, cycle_len = [], [], []
         for c in parts:
-            table += [len(table) + v for v in connected[c][0]]
-            orbit += [(c, t) for t in connected[c][1]]
-            cycle_len += connected[c][2]
+            t, types, k = connected[c]
+            cycle_len += [k] * k + [0] * (len(t) - k)
+            orbit += [(c, x) for x in types]
+            table += [len(table) + v for v in t]
         reps.append(_least_table(table, orbit, cycle_len))
     reps.sort()
     return Corpus(n, tuple(FiniteMonounary(t) for t in reps))
