@@ -1,10 +1,15 @@
 """Answers pinned by digest: the sha256 of repr() of each answer, as
 computed before the skeleton was stored as flat arrays; the 9-point
-corpus as computed while enumeration still labelled each class afresh.
-A change to how the skeleton, the labelling or the corpus is built must
-leave every one of these byte-identical."""
+corpus as computed while enumeration still labelled each class afresh;
+the automorphisms, the extensions and the cap's refusal as computed
+while automorphism_images and extend_to_automorphism each aligned the
+labelled trees their own way.  A change to how the skeleton, the
+labelling, the corpus or the automorphisms are built must leave every
+one of these byte-identical."""
 
 import hashlib
+
+import pytest
 
 from monoalg import iso, orbits, symbolic
 from monoalg.core import random_algebra
@@ -25,6 +30,23 @@ def test_certificates_of_every_class_up_to_7_points():
     assert _digest(certs) == "48924420f1b777f9a09e90e8059ccb24c24458d1734c71418fb4e9184cd13efc"
 
 
+def test_automorphisms_of_every_class_up_to_7_points():
+    auts = [
+        iso.enumerate_automorphisms(A)
+        for n in range(1, 8)
+        for A in enumerate_up_to_iso(n).representatives
+    ]
+    assert len(auts) == 550
+    assert _digest(auts) == "44d857e2fa37ba7f425abf9e3edcb553df462fc579af982333c947c350df9bda"
+
+
+def test_extensions_of_every_one_point_map_up_to_6_points():
+    reps = [A for n in range(1, 7) for A in enumerate_up_to_iso(n).representatives]
+    assert len(reps) == 207
+    extensions = [iso.extend_to_automorphism(A, {x: y}) for A in reps for x in range(A.n) for y in range(A.n)]
+    assert _digest(extensions) == "d303464e56f7f555a2aae32060c62d6506b1b509b8c2b0c937646ad4ada6fe43"
+
+
 def test_every_class_on_9_points():
     corpus = enumerate_up_to_iso(9)
     assert len(corpus.representatives) == 2615
@@ -41,6 +63,11 @@ def test_answers_on_a_random_10_5_point_table():
     )
     assert _digest(orbits.one_orbits(A)) == (
         "a07383a21169bbf66e7d4f99313763df395a7459100fd0df76f0a40706612d8a"
+    )
+    with pytest.raises(ValueError) as refusal:
+        iso.enumerate_automorphisms(A)
+    assert _digest(str(refusal.value)) == (
+        "af2c5d73965e8477d84f423274d8e63032a2be218e98d18edbed1bf91bbf57e5"
     )
 
 
