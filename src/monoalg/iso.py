@@ -30,15 +30,23 @@ Marked variants seed the child list of a marked element xs[i] with
 ascending, which makes certificate equality of marked algebras
 equivalent to the existence of an isomorphism matching the marks.
 
-The automorphism group factors uniquely into small sets of aligned
-moves, as in a stabilizer chain: swaps of isomorphic components and of
-equal-labelled sibling trees, and the rotations of each cycle by
-multiples of its period.  automorphism_images multiplies the factor
-sizes into the group order and checks it against the cap, and the list's
-size against MAX_AUT_ENTRIES, before it builds any factor, then composes
-the factors' permutations in C: on at most 256 points as byte strings,
-each factor applied with bytes.translate and the products sorted by
-memcmp, on more points as tuples.  The `aut` verb writes its rows from
+One layout of a labelling (_layout) lists every point once: the
+components sorted by least-rotated label sequence, each read from its
+least rotation, and each cycle point followed by its tree in preorder,
+children in label order.  Every tree and every component is then one
+slice of it, and slices of equal labels align point by point; this is
+the only alignment here.  The automorphism group factors uniquely into
+small sets of moves of aligned slices, as in a stabilizer chain: swaps
+of isomorphic components and of the trees above equal-labelled
+siblings, and the cyclic shifts of each component's slice by multiples
+of its period.  extend_to_automorphism zips the layouts of the
+labellings with the keys marked and with their images marked.
+automorphism_images multiplies the factor sizes into the group order
+and checks it against the cap, and the list's size against
+MAX_AUT_ENTRIES, before it builds any factor, then composes the
+factors' permutations in C: on at most 256 points as byte strings, each
+factor applied with bytes.translate and the products sorted by memcmp,
+on more points as tuples.  The `aut` verb writes its rows from
 these images as they are.  enumerate_automorphisms turns the byte
 strings into tuples in one pass: it joins them into one string, frees
 them, and unpacks the tuples from the joined string with struct, so
@@ -72,7 +80,7 @@ from __future__ import annotations
 
 import gc
 from array import array
-from itertools import groupby, pairwise, permutations, repeat
+from itertools import chain, groupby, pairwise, permutations, repeat
 from math import log10, prod
 from operator import itemgetter
 from struct import iter_unpack
@@ -312,22 +320,45 @@ def _order_text(sizes: list[int]) -> str:
     return f"of {digits + (order >= 10**digits)} digits"
 
 
+def _layout(sk: Skeleton, labelling: tuple, kids: list[list[int]]) -> list[int]:
+    """Every point once, as aligned slices: the components sorted by
+    their least-rotated label sequences, ties by cycle index, each read
+    from its least rotation, and each cycle point followed by its tree
+    in preorder, children in label order, ties in ascending point order
+    (kids, each list ascending, is left as it is).  So every tree and
+    every component is one contiguous slice, and two slices whose roots
+    have one label, or two components with one label sequence, match
+    point by point: the layouts of two labellings with equal
+    certificates zip into an isomorphism."""
+    labels, seqs, rots, _ = labelling
+    cycles = list(sk.cycles())
+    order: list[int] = []
+    for i in sorted(range(len(seqs)), key=seqs.__getitem__):
+        cycle, r = cycles[i], rots[i][0]
+        stack = (cycle[r:] + cycle[:r]).tolist()[::-1]
+        while stack:  # pops in preorder: the last pushed is the next child
+            x = stack.pop()
+            order.append(x)
+            ks = kids[x]
+            stack += ks if len(ks) < 2 else sorted(ks, key=labels.__getitem__)[::-1]
+    return order
+
+
 def automorphism_images(
     A: FiniteMonounary, cap: int = DEFAULT_AUT_CAP
 ) -> Union[list[bytes], list[tuple[int, ...]]]:
     """All automorphisms, sorted, each as its sequence of images: byte
     strings on at most 256 points, tuples on more.  They are the
     products f0 o f1 o ... of small factor sets, one pick from each;
-    every automorphism is exactly one such product.  With every child
-    list sorted by label, the breadth-first lists of two equal-labelled
-    trees align point by point, and so do two isomorphic components read
-    from their least rotations.
-    A run of s isomorphic components, or of s equal-labelled siblings,
-    gives s - 1 factors: factor i is the identity and the aligned swaps
-    of block i with each later block.  Each component also gives the
-    factor of its k/d rotations by multiples of its period d.  A class's
-    component swaps come before its rotations, and the sibling runs
-    come last, parents first.
+    every automorphism is exactly one such product.  Every factor moves
+    aligned slices of one layout of the labelled trees (_layout):
+    a run of s consecutive equal-width slices, s isomorphic components
+    or the trees above s equal-labelled siblings, gives s - 1 factors:
+    factor i is the identity and the swaps of slice i with each later
+    slice.  A component of k cycle points with least period d gives the
+    factor of its slice's k/d cyclic shifts by multiples of d/k times
+    its width.  A class of components gives its swaps, then each
+    member's rotations; the sibling swaps come last, parents first.
 
     The factor sizes are multiplied first; if the count exceeds `cap`,
     or the count times n exceeds MAX_AUT_ENTRIES, the call fails before
@@ -346,84 +377,65 @@ def automorphism_images(
     On more points the products are tuples, a o p by itemgetter.
     """
     sk = skeleton(A.table)
-    labels, seqs, rots, _ = label(sk)
-    sizes: list[int] = []  # the group order is their product
-
+    labelling = label(sk)
+    labels, seqs, _, _ = labelling
     kids = sk.children()
-    runs_at: dict[int, list[list[int]]] = {}
-    for x, ks in enumerate(kids):
-        if len(ks) < 2:
-            continue
-        ks.sort(key=labels.__getitem__)
-        for _, run in groupby(ks, key=labels.__getitem__):
-            run = list(run)
-            if len(run) > 1:
-                runs_at.setdefault(x, []).append(run)
-                sizes += range(2, len(run) + 1)
+    order = _layout(sk, labelling, kids)
+    n, table, cyclic = A.n, sk.table, sk.cyclic
+    width = [1] * n  # the size of the tree above each point: its slice's width
+    for x in sk.ranked:  # each point after its children
+        if not cyclic[x]:
+            width[table[x]] += width[x]
 
-    # components are isomorphic iff their least-rotated cycle sequences
-    # are equal
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, seq in enumerate(seqs):
-        groups.setdefault(seq, []).append(i)
-    for seq, members in groups.items():
-        sizes += range(2, len(members) + 1)
-        sizes += [len(seq) // rots[members[0]][1]] * len(members)
-    total = 1
+    # the moves, in factor order: (start, width, s, turn), s aligned
+    # slices of that width from start on, swapped pairwise or, for a
+    # turn, shifted cyclically
+    moves: list[tuple[int, int, int, bool]] = []
+    start = 0
+    for seq, copies in groupby(sorted(seqs)):  # the components, as _layout lists them
+        s, k, end = len(list(copies)), len(seq), start
+        for _ in seq:  # k trees make up one component
+            end += width[order[end]]
+        w, period = end - start, _least_rotation(seq)[1]
+        if s > 1:
+            moves.append((start, w, s, False))
+        moves += [(a, w * period // k, k // period, True) for a in range(start, start + s * w, w)]
+        start += s * w
+    for i, x in enumerate(order):  # parents first
+        if len(kids[x]) > 1:
+            at = [i + 1]  # where each child's slice starts, in label order
+            for _ in kids[x][1:]:
+                at.append(at[-1] + width[order[at[-1]]])
+            for _, run in groupby(at, key=lambda a: labels[order[a]]):
+                run = list(run)
+                if len(run) > 1:
+                    moves.append((run[0], run[1] - run[0], len(run), False))
+
+    # s shifts, or s! as 2 * 3 * ... * s swaps
+    sizes = [*chain.from_iterable([s] if turn else range(2, s + 1) for _, _, s, turn in moves)]
+    total = 1  # the group order is the product of the sizes
     for size in sizes:
         total *= size
         if total > cap:
             raise ValueError(f"automorphism count {_order_text(sizes)} exceeds cap {cap}")
-    n = A.n
     if total * n > MAX_AUT_ENTRIES:
         raise ValueError(f"{total} automorphisms on {n} points exceed the limit of {MAX_AUT_ENTRIES} listed entries")
 
+    def moved(src: list[int], dst: list[int]) -> list[int]:
+        p = list(range(n))
+        for u, v in zip(src, dst):
+            p[u] = v
+        return p
+
     factors: list[list[list[int]]] = []  # each factor's permutations but the identity
-
-    def tree(x: int) -> list[int]:
-        """The tree above x, breadth first, children in label order."""
-        out = [x]
-        for y in out:  # the loop reaches what it appends
-            out += kids[y]
-        return out
-
-    def swaps(blocks: list[list[int]]) -> None:
-        """The s - 1 factors of s aligned, pairwise swappable blocks."""
-        for i, a in enumerate(blocks[:-1]):
-            factor = []
-            for b in blocks[i + 1:]:
-                p = list(range(n))
-                for u, v in zip(a, b):
-                    p[u], p[v] = v, u
-                factor.append(p)
-            factors.append(factor)
-
-    # classes are disjoint, so each class's swaps and rotations may
-    # follow the previous class's
-    cycles = list(sk.cycles())
-    for seq, members in groups.items():
-        k, period = len(seq), rots[members[0]][1]
-        if len(members) == 1 and period == k:
-            continue
-        trees = []  # per member, the trees above its cycle from its least rotation
-        for i in members:
-            cycle, r = cycles[i], rots[i][0]
-            trees.append([tree(c) for c in cycle[r:] + cycle[:r]])
-        if len(members) > 1:
-            swaps([[y for t in ts for y in t] for ts in trees])
-        if period < k:
-            for ts in trees:
-                factor = []
-                for shift in range(period, k, period):
-                    p = list(range(n))
-                    for t, src in enumerate(ts):
-                        for u, v in zip(src, ts[(t + shift) % k]):
-                            p[u] = v
-                    factor.append(p)
-                factors.append(factor)
-    for x in reversed(sk.ranked):  # parents first
-        for run in runs_at.get(x, ()):
-            swaps([tree(y) for y in run])
+    for start, w, s, turn in moves:
+        if not turn:
+            blocks = [order[a:a + w] for a in range(start, start + s * w, w)]
+            for i, a in enumerate(blocks[:-1]):
+                factors.append([moved(a + b, b + a) for b in blocks[i + 1:]])
+        elif s > 1:
+            ring = order[start:start + s * w]
+            factors.append([moved(ring, ring[t:] + ring[:t]) for t in range(w, s * w, w)])
 
     small = n <= 256  # a point fits in a byte
     auts = [bytes(range(n)) if small else tuple(range(n))]
@@ -457,9 +469,9 @@ def extend_to_automorphism(
 ) -> Optional[tuple[int, ...]]:
     """An automorphism agreeing with the partial map, or None.  Labellings
     with the keys marked and with their images marked have equal
-    certificates iff one exists; it is then built top down, pairing the
-    cycles sorted by label sequence and aligned at their least rotations,
-    then at each element the children sorted by label on either side."""
+    certificates iff one exists; it is then the zip of their two layouts
+    (_layout): the slices of the components, of their least rotations and
+    of the trees above equal-labelled points align point by point."""
     pairs = mapping.items() if isinstance(mapping, Mapping) else mapping
     m: dict[int, int] = {}
     for k, v in pairs:
@@ -471,21 +483,11 @@ def extend_to_automorphism(
     if len(set(m.values())) != len(m):
         raise ValueError("map is not injective")
     sk = skeleton(A.table)
-    src, src_seqs, src_rots, cert = label(sk, tuple(m))
-    dst, dst_seqs, dst_rots, dst_cert = label(sk, tuple(m.values()))
-    if cert != dst_cert:
+    src, dst = label(sk, tuple(m)), label(sk, tuple(m.values()))
+    if src[3] != dst[3]:
         return None
-    p = [0] * A.n
-    cycles = list(sk.cycles())
-    cyc = range(len(cycles))
-    for a, b in zip(sorted(cyc, key=src_seqs.__getitem__), sorted(cyc, key=dst_seqs.__getitem__)):
-        image, shift = cycles[b], dst_rots[b][0] - src_rots[a][0]
-        for t, c in enumerate(cycles[a]):
-            p[c] = image[(t + shift) % len(image)]
     kids = sk.children()
-    for x in reversed(sk.ranked):  # parents first: p[x] is set before x's children
-        mine = sorted(kids[x], key=src.__getitem__)
-        theirs = sorted(kids[p[x]], key=dst.__getitem__)
-        for a, b in zip(mine, theirs):
-            p[a] = b
+    p = [0] * A.n
+    for a, b in zip(_layout(sk, src, kids), _layout(sk, dst, kids)):
+        p[a] = b
     return tuple(p)

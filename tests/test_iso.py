@@ -414,6 +414,30 @@ def test_extension_reaches_groups_above_the_cap():
         assert iso.extend_to_automorphism(A, {x: A.table[x]}) is None
 
 
+def _assert_layouts_zip_into_an_isomorphism(t, u):
+    """The unmarked layouts of two isomorphic tables t and u, zipped,
+    map t's points onto u's and commute with the operations."""
+    m = [-1] * len(t)
+    sks = (Skeleton(t), Skeleton(u))
+    for a, b in zip(*(iso._layout(sk, iso.label(sk), sk.children()) for sk in sks)):
+        m[a] = b
+    assert sorted(m) == list(range(len(t)))
+    assert all(m[t[x]] == u[m[x]] for x in range(len(t)))
+
+
+@given(symmetric_tables(1, 200), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_layouts_of_a_relabelled_table_zip_into_an_isomorphism(tab, rnd):
+    p = list(range(len(tab)))
+    rnd.shuffle(p)
+    _assert_layouts_zip_into_an_isomorphism(tab, tuple(p[tab[q]] for q in inverse(p)))
+
+
+def test_layouts_of_a_relabelled_random_table_zip_into_an_isomorphism():
+    A = random_algebra(10_000, 4)
+    _assert_layouts_zip_into_an_isomorphism(A.table, _relabelled(A, random.Random(4)).table)
+
+
 @given(tables(max_n=6), st.data())
 @settings(max_examples=150, deadline=None)
 def test_extension_matches_brute_force(tab, data):
