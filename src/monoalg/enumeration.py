@@ -181,8 +181,14 @@ def enumerate_up_to_iso(n: int) -> Corpus:
 
 
 def counts(up_to: int) -> list[int]:
-    """Number of isomorphism classes for each point count 1..up_to."""
-    return [len(enumerate_up_to_iso(k).representatives) for k in range(1, up_to + 1)]
+    """Number of isomorphism classes for each point count 1..up_to: the
+    multisets of connected classes that enumerate_up_to_iso would lay
+    out, counted without building a table."""
+    if up_to > MAX_POINTS:
+        raise ValueError(f"n must be between 1 and {MAX_POINTS}, got {up_to}")
+    connected, upto = _connected_tables(up_to)
+    sizes = [len(t) for t, _, _ in connected]
+    return [sum(1 for _ in _multisets(sizes, upto, n, len(connected))) for n in range(1, up_to + 1)]
 
 
 def save_corpus(corpus: Corpus, path: str) -> None:

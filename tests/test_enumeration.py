@@ -23,6 +23,13 @@ def test_counts_equal_polya_counting():
     assert enumeration.counts(10) == polya_class_counts(10)
 
 
+def test_counts_are_the_corpus_sizes():
+    assert enumeration.counts(8) == [len(enumeration.enumerate_up_to_iso(n).representatives) for n in range(1, 9)]
+    assert enumeration.counts(0) == enumeration.counts(-3) == []
+    with pytest.raises(ValueError, match=f"n must be between 1 and {core.MAX_POINTS}, got 13"):
+        enumeration.counts(13)
+
+
 def test_generator_equals_the_sweep_over_all_tables():
     for n in range(1, 7):
         assert enumeration.enumerate_up_to_iso(n) == sweep_corpus(n)
