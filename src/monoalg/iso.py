@@ -44,13 +44,14 @@ labellings with the keys marked and with their images marked.
 automorphism_images multiplies the factor sizes into the group order
 and checks it against the cap, and the list's size against
 MAX_AUT_ENTRIES, before it builds any factor, then composes the
-factors' permutations in C: on at most 256 points as byte strings, each
-factor applied with bytes.translate and the products sorted by memcmp,
-on more points as tuples.  The `aut` verb writes its rows from
-these images as they are.  enumerate_automorphisms turns the byte
-strings into tuples in one pass: it joins them into one string, frees
-them, and unpacks the tuples from the joined string with struct, so
-that the strings and the tuples are never alive at once.
+factors' permutations in C into the products f0 o f1 o ...: on at most
+256 points as byte strings, each factor applied with bytes.translate,
+last factor first, and the products sorted by memcmp; on more points as
+tuples, first factor first, by itemgetter.  The `aut` verb writes its
+rows from these images as they are.  enumerate_automorphisms turns the
+byte strings into tuples in one pass: it joins them into one string,
+frees them, and unpacks the tuples from the joined string with struct,
+so that the strings and the tuples are never alive at once.
 
 Every function here that takes an algebra or a table reads its
 skeleton from core.skeleton, and the unmarked labelling is kept on the
@@ -69,11 +70,15 @@ so reference counting frees all of it.  A table of at least ten times
 the collector's first threshold is therefore labelled with the
 collector paused, and the caller's setting comes back, also when the
 labelling raises; the kept labels are converted to their array inside
-the pause.  enumerate_automorphisms pauses the collector by the same
-rule, counted in automorphisms, for its closing unpacking to tuples
-alone: on at most 256 points the products are byte strings, which the
-collector does not track, so only the tuples trigger collections, and
-these free nothing.  Raw tables are checked by core.FiniteMonounary.
+the pause.  The automorphisms' tuples are built by the same rule,
+counted in automorphisms, and free nothing either.  On at most 256
+points the products are byte strings, which the collector does not
+track, so only enumerate_automorphisms' closing unpacking to tuples is
+paused.  On more points automorphism_images builds the products
+themselves as tuples with the collector paused; CPython keeps no tuple
+of more than 256 entries on a free list, so a pause there leaves no
+freed tuple of an earlier group scattered in memory.  Raw tables are
+checked by core.FiniteMonounary.
 """
 
 from __future__ import annotations
@@ -367,14 +372,15 @@ def automorphism_images(
 
     When every point fits in a byte (n <= 256) the products are byte
     strings: a pick p is applied to a product a as a.translate(t), t
-    being p padded to 256 bytes, which is p o a, so the products come
-    out as ... o f1 o f0.  Every factor set is closed under inverses (the
-    identity and involutive swaps, or all rotations by multiples of a
-    period), so these are the inverses of the products f0 o f1 o ...,
-    again every automorphism exactly once.  Byte strings of one length
-    sort as the tuples of their bytes, and iterating one gives its
-    points, so the `aut` verb writes its rows from them as they are.
-    On more points the products are tuples, a o p by itemgetter.
+    being p padded to 256 bytes, which is p o a, so the factors are
+    applied last first and the products come out as f0 o f1 o ...,
+    grouped by f0's pick, then by f1's, and so on, an order that the
+    closing sort takes in fewer comparisons than the reverse one.  Byte
+    strings of one length sort as the tuples of their bytes, and
+    iterating one gives its points, so the `aut` verb writes its rows
+    from them as they are.  On more points the products are tuples,
+    a o p by itemgetter, the factors applied first first, with the
+    collector paused by _paused's rule.
     """
     sk = skeleton(A.table)
     labelling = label(sk)
@@ -437,17 +443,25 @@ def automorphism_images(
             ring = order[start:start + s * w]
             factors.append([moved(ring, ring[t:] + ring[:t]) for t in range(w, s * w, w)])
 
-    small = n <= 256  # a point fits in a byte
-    auts = [bytes(range(n)) if small else tuple(range(n))]
+    if n <= 256:  # a point fits in a byte: p o a, so the last factor first
+        auts = _products(reversed(factors), bytes(range(n)),
+                         lambda p, auts: map(bytes.translate, auts, repeat(bytes(p).ljust(256, b"\0"))))
+    else:  # a o p, the first factor first, as tuples, which the collector tracks
+        auts = _paused(total, _products, factors, tuple(range(n)), lambda p, auts: map(itemgetter(*p), auts))
+    auts.sort()
+    return auts
+
+
+def _products(factors: Iterable[list[list[int]]], identity: T, apply: Callable[..., Iterable[T]]) -> list[T]:
+    """The identity and its products with one pick from each factor set,
+    in turn: apply(p, auts) maps every product so far to its product
+    with the pick p."""
+    auts = [identity]
     for factor in factors:
         products = auts.copy()
         for p in factor:
-            if small:  # p o a
-                products += map(bytes.translate, auts, repeat(bytes(p).ljust(256, b"\0")))
-            else:  # a o p
-                products += map(itemgetter(*p), auts)
+            products += apply(p, auts)
         auts = products
-    auts.sort()
     return auts
 
 

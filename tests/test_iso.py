@@ -237,6 +237,8 @@ def test_kernels_leave_the_collector_as_they_found_it():
     sk = Skeleton(A.table)
     A8 = symbolic.instantiate(symbolic.parse("A[1;8]"), 1)
     star = validate([0, 0, 0])
+    # 7 020 automorphisms on 287 points: tuple products, built paused
+    rings = _relabelled(symbolic.instantiate(symbolic.parse("Z260 + Z27"), 1), random.Random(5))
     ran = []
 
     def note(phase, info):
@@ -261,11 +263,24 @@ def test_kernels_leave_the_collector_as_they_found_it():
             with pytest.raises(ValueError, match="cap"):
                 iso.enumerate_automorphisms(star, cap=1)
             assert gc.isenabled() is enabled
+            iso.enumerate_automorphisms(rings)  # labelled here, so that only the listing is watched
+            gc.collect()
+            gc.callbacks.append(note)
+            try:
+                assert len(iso.enumerate_automorphisms(rings)) == 7020
+            finally:
+                gc.callbacks.remove(note)
+            # the start and stop of at most one collection, from the factors'
+            # lists: the tuples trigger none (without the pause, about ten)
+            assert len(ran) <= 2 * enabled
+            assert gc.isenabled() is enabled
+            ran.clear()
         # the kernels build no reference cycle, so the pause defers no work
         gc.collect()
         gc.disable()
         iso.label(sk)
         assert len(iso.enumerate_automorphisms(A8)) == 40_320
+        assert len(iso.enumerate_automorphisms(rings)) == 7020
         assert gc.collect() == 0
     finally:
         (gc.enable if was else gc.disable)()
