@@ -1,12 +1,16 @@
 """Command line behaviour: verbs, exit codes, JSON payload schemas, and
 the modules each verb loads when run as a program."""
 
+import contextlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -60,16 +64,65 @@ def test_aut(capsys):
     assert oracle == payload
 
 
-@pytest.mark.parametrize("table", ["f: 8 12 2 2 9 4 12 12 0 5 2 2 12", "f: 0"])
-def test_aut_output_is_what_json_and_str_write(capsys, table):
-    # 2*A[1;3] + Z2 + Z3 relabelled (432 automorphisms of 13 points), and n = 1
-    auts = iso.enumerate_automorphisms(from_text(table))
-    code, out, _ = run(capsys, "aut", table, "--json")
+def _relabelled_text(shape, seed):
+    """The table of `shape` at w = 1 under a random relabelling, as text."""
+    table = symbolic.instantiate(symbolic.parse(shape), 1).table
+    p = list(range(len(table)))
+    random.Random(seed).shuffle(p)
+    f = [0] * len(table)
+    for x, y in enumerate(table):
+        f[p[x]] = p[y]
+    return "f: " + " ".join(map(str, f))
+
+
+MIXED = "f: 8 12 2 2 9 4 12 12 0 5 2 2 12"  # 2*A[1;3] + Z2 + Z3 relabelled: 432 automorphisms of 13 points
+
+
+@pytest.mark.parametrize(
+    "table, flags, chunk_rows",
+    [
+        pytest.param(MIXED, (), None, id=MIXED),
+        pytest.param("f: 0", (), None, id="f: 0"),
+        # a chunk smaller than one row still holds one row
+        pytest.param("f: 0", (), 0, id="n=1, chunks under a row"),
+        # all 432 rows but the last go in chunks; the last is written on its own
+        *[pytest.param(MIXED, (), rows, id=f"432 rows, chunks of {rows}") for rows in (430, 431, 432, 433)],
+        pytest.param(_relabelled_text("A[1;8]", 8), (), None, id="A[1;8] relabelled"),  # 40 320 rows, 6 chunks
+        pytest.param(_relabelled_text("Z300", 3), (), None, id="Z300 relabelled"),  # tuples, above 256 points
+        pytest.param("f: 1 0 3 3 2", ("--oracle",), 1, id="oracle, a row per chunk"),
+    ],
+)
+def test_aut_output_is_what_json_and_str_write(capsys, monkeypatch, table, flags, chunk_rows):
+    A = from_text(table)
+    auts = iso.enumerate_automorphisms(A)
+    if chunk_rows is not None:
+        monkeypatch.setattr(cli, "AUT_CHUNK", chunk_rows * A.n)
+    code, out, _ = run(capsys, "aut", table, *flags, "--json")
     assert code == 0
     assert out == json.dumps({"count": len(auts), "automorphisms": auts}) + "\n"
-    code, out, _ = run(capsys, "aut", table)
+    code, out, _ = run(capsys, "aut", table, *flags)
     assert code == 0
     assert out == "\n".join(str(list(p)) for p in auts) + "\n"
+
+
+def test_aut_writes_in_bounded_memory():
+    """4*Z3 + A[1;3,2]: 93 312 rows of 22 points, about 7.5 MB of JSON.
+    The rows are written a chunk at a time, so the traced peak is mostly
+    the automorphisms' byte strings, not the text."""
+    A = symbolic.instantiate(symbolic.parse("4*Z3 + A[1;3,2]"), 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "a.json")
+        with open(path, "w") as fh:
+            json.dump({"n": A.n, "f": list(A.table)}, fh)
+        with open(os.devnull, "w") as null, contextlib.redirect_stdout(null):
+            assert main(["aut", path, "--json"]) == 0  # caches the skeleton and its labelling outside the measure
+            tracemalloc.start()
+            try:
+                assert main(["aut", path, "--json"]) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_orbits(capsys):
