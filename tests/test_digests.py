@@ -3,11 +3,15 @@ computed before the skeleton was stored as flat arrays; the 9-point
 corpus as computed while enumeration still labelled each class afresh;
 the automorphisms, the extensions and the cap's refusal as computed
 while automorphism_images and extend_to_automorphism each aligned the
-labelled trees their own way.  A change to how the skeleton, the
-labelling, the corpus or the automorphisms are built must leave every
-one of these byte-identical."""
+labelled trees their own way; the instances and truncations of a grid
+of shapes as computed while instantiate built each level from a list of
+the level below, and while the command line counted their sizes with
+copies of symbolic's level rules.  A change to how the skeleton, the
+labelling, the corpus, the automorphisms or the shapes are built must
+leave every one of these byte-identical."""
 
 import hashlib
+import itertools
 
 import pytest
 
@@ -18,6 +22,18 @@ from monoalg.enumeration import enumerate_up_to_iso
 
 def _digest(answer) -> str:
     return hashlib.sha256(repr(answer).encode()).hexdigest()
+
+
+def _profiles(tails=(None,)):
+    """One weighted profile per sum: cycles 1-3, prefixes of up to 3
+    entries from {1, 2, w}, each tail given, multiplicities {1, 2, w}."""
+    cards = ("1", "2", "w")
+    for cycle in (1, 2, 3):
+        for length in range(4):
+            for prefix in itertools.product(cards, repeat=length):
+                for tail in tails:
+                    for mult in cards:
+                        yield symbolic.symbolic([(mult, symbolic.Profile(cycle, prefix, tail))])
 
 
 def test_certificates_of_every_class_up_to_7_points():
@@ -76,3 +92,19 @@ def test_decomposition_of_a_uniform_tree_shape():
     assert _digest(symbolic.decompose(A)) == (
         "9e9151ab28e53dbbc3ba4c87b667e55cdc210bdcf44c30fa31adcf129648b2c3"
     )
+
+
+def test_instances_of_a_grid_of_profiles():
+    tables = [symbolic.instantiate(S, w).table for S in _profiles() for w in (1, 2, 3)]
+    assert len(tables) == 1080
+    assert _digest(tables) == "2e4454d54a82049210f83c5ee4e403256134b20e30420c601042c76a7560bf1c"
+
+
+def test_truncations_of_a_grid_of_profiles_and_of_the_limits():
+    cut = [symbolic.truncate(S, h) for S in _profiles((None, "1", "2", "w")) for h in range(5)]
+    assert len(cut) == 7200
+    assert _digest(cut) == "3618fda9c1e787a3f38a0ed08d9fe634d3b62beddcff8412690d018ee2f3b4e8"
+    limits = [
+        symbolic.truncate(symbolic.fraisse_limit(k), h, m) for k in (None, 1, 2, 3) for h in range(5) for m in range(1, 5)
+    ]
+    assert _digest(limits) == "aeb61bcc831562b73f1892e67749bd7cf48ffa1a456bb6f2dce675b74c51cece"
