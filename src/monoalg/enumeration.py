@@ -191,11 +191,18 @@ def counts(up_to: int) -> list[int]:
     return [sum(1 for _ in _multisets(sizes, upto, n, len(connected))) for n in range(1, up_to + 1)]
 
 
+def corpus_lines(corpus: Corpus) -> Iterator[str]:
+    """The corpus as text, line by line, each with its line break: the
+    header '# n=N count=C', then one table per line, its entries spaced.
+    load_corpus reads it back."""
+    yield f"# n={corpus.n} count={len(corpus.representatives)}\n"
+    for A in corpus.representatives:
+        yield " ".join(map(str, A.table)) + "\n"
+
+
 def save_corpus(corpus: Corpus, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(f"# n={corpus.n} count={len(corpus.representatives)}\n")
-        for A in corpus.representatives:
-            fh.write(" ".join(map(str, A.table)) + "\n")
+        fh.writelines(corpus_lines(corpus))
 
 
 def load_corpus(path: str) -> Corpus:

@@ -154,10 +154,13 @@ class Profile(_Record):
 
     def levels(self, h: int) -> tuple[Cardinal, ...]:
         """First h level cardinals, expanding the tail as needed."""
-        out = list(self.prefix[:h])
-        while len(out) < h and self.tail is not None:
-            out.append(self.tail)
-        return tuple(out)
+        return self.prefix[:h] + (self.tail,) * (_depth(self.prefix, self.tail, h) - len(self.prefix))
+
+
+def _depth(prefix: tuple, tail: Optional[Cardinal], h: int) -> int:
+    """How many level cardinals a profile keeps when cut to height h: h
+    with a tail to expand, else at most its prefix."""
+    return h if tail is not None else min(h, len(prefix))
 
 
 class Bee(_Record):
@@ -446,8 +449,29 @@ def fraisse_limit(k: Optional[int] = None) -> SymbolicAlgebra:
     return SymbolicAlgebra((), (fam,))
 
 
+def _level_sizes(desc: Profile, omega_value: int) -> list[int]:
+    """The points of each level of a tail-free profile's instance: the
+    cycle, then each height, with w replaced by `omega_value`."""
+    sizes = [desc.cycle]
+    for a in desc.prefix:
+        sizes.append(sizes[-1] * a.substitute(omega_value))
+    return sizes
+
+
+def instance_size(S: SymbolicAlgebra, omega_value: int) -> int:
+    """Points of instantiate(S, omega_value), counted from the level sizes
+    without building a table; a descriptor with no finite instance counts
+    as empty."""
+    return sum(
+        mult.substitute(omega_value) * sum(_level_sizes(desc, omega_value))
+        for mult, desc in S.components if isinstance(desc, Profile) and desc.tail is None
+    )
+
+
 def instantiate(S: SymbolicAlgebra, omega_value: int) -> FiniteMonounary:
-    """Build an explicit table with w replaced by `omega_value`."""
+    """Build an explicit table with w replaced by `omega_value`: each copy
+    is its cycle, then each level's points in turn, the children of one
+    point consecutive and in the order of their parents."""
     if omega_value < 1:
         raise ValueError("omega_value must be positive")
     if S.families:
@@ -457,20 +481,18 @@ def instantiate(S: SymbolicAlgebra, omega_value: int) -> FiniteMonounary:
     for mult, desc in S.components:
         if not isinstance(desc, Profile) or desc.tail is not None:
             raise ValueError(f"{show_descriptor(desc)} has no finite instance")
+        sizes = _level_sizes(desc, omega_value)
         for _ in range(mult.substitute(omega_value)):
-            base = len(table)
-            k = desc.cycle
-            for i in range(k):
-                table.append(base + (i + 1) % k)
-            level = list(range(base, base + k))
-            for a in desc.prefix:
-                branches = a.substitute(omega_value)
-                nxt = []
-                for parent in level:
-                    for _ in range(branches):
-                        table.append(parent)
-                        nxt.append(len(table) - 1)
-                level = nxt
+            here = len(table)  # the first point of the level being read
+            table += [*range(here + 1, here + sizes[0]), here]
+            for k, above in zip(sizes, sizes[1:]):
+                a = above // k  # children of each of the level's k points
+                if a == 1:
+                    table += range(here, here + k)
+                else:
+                    for p in range(here, here + k):
+                        table += [p] * a
+                here += k
     return FiniteMonounary(tuple(table))
 
 
@@ -496,6 +518,16 @@ def truncate(S: SymbolicAlgebra, h: int, max_cycle: Optional[int] = None) -> Sym
             for n in range(1, max_cycle + 1):
                 comps.append((fam.multiplicity, Profile(n, shape.levels(h), None)))
     return symbolic(comps)
+
+
+def truncated_size(S: SymbolicAlgebra, h: int, max_cycle: Optional[int]) -> int:
+    """Profiles and level cardinals of truncate(S, h, max_cycle), counted
+    without building them, as Profile.levels cuts: a tail expands to h
+    levels, a tail-free prefix keeps at most h of them, and a family
+    makes one profile per cycle length up to max_cycle.  What truncate
+    refuses counts as empty."""
+    total = sum(1 + _depth(d.prefix, d.tail, h) for _, d in S.components if isinstance(d, Profile))
+    return total + (max_cycle or 0) * sum(1 + _depth(fam.prefix, fam.tail, h) for fam in S.families)
 
 
 class NotUltrahomogeneous(ValueError):
