@@ -30,9 +30,13 @@ in-process entry, which returns the exit code; it builds the parser once
 per process and reads MONOALG_BOUND on every call.
 
 Each verb imports only the modules it reads, so a call pays only for
-the code it runs; the parser reads its limits from core.  README's
-Command line section lists the limits that bound each verb's work.
-`check` reads its properties from one table, _PROPERTIES.
+the code it runs, and it restates none of their rules: the parser reads
+its limits from core; instantiate and truncate count what they would
+build with symbolic.instance_size and symbolic.truncated_size before
+building it; a table is written by core.to_json or core.to_text and a
+corpus by enumeration.corpus_lines, the formats their readers read.
+README's Command line section lists the limits that bound each verb's
+work.  `check` reads its properties from one table, _PROPERTIES.
 """
 
 from __future__ import annotations
@@ -45,12 +49,9 @@ import re
 import sys
 from itertools import chain, cycle
 from operator import getitem
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from . import core
-
-if TYPE_CHECKING:
-    from . import symbolic
 
 MAX_RANDOM_N = 10**6  # the most the CLI builds: points (random:N, instantiate), truncate's entries
 AUT_CHUNK = 1 << 16  # the entries `aut` joins into one write
@@ -312,54 +313,27 @@ def _cmd_limit(args) -> int:
     return 0
 
 
-def _instance_size(S: symbolic.SymbolicAlgebra, w: int) -> int:
-    """Points of symbolic.instantiate(S, w), counted without building it;
-    descriptors with no finite instance count as empty."""
-    from . import symbolic
-
-    total = 0
-    for mult, desc in S.components:
-        if isinstance(desc, symbolic.Profile) and desc.tail is None:
-            level = points = desc.cycle
-            for a in desc.prefix:
-                level *= a.substitute(w)
-                points += level
-            total += mult.substitute(w) * points
-    return total
-
-
 def _cmd_instantiate(args) -> int:
     from . import symbolic
 
     S = symbolic.parse(args.shape)
     if args.w is None or args.w < 1:
         raise ValueError("instantiate needs --w, at least 1")
-    n = _instance_size(S, args.w)
+    n = symbolic.instance_size(S, args.w)
     if n > MAX_RANDOM_N:
         raise ValueError(f"instantiate builds at most {MAX_RANDOM_N} points; {args.shape!r} with w={args.w} has {n}")
     A = symbolic.instantiate(S, args.w)
-    _emit(args, {"n": A.n, "f": list(A.table)}, lambda: core.to_text(A))
+    print(core.to_json(A) if args.json else core.to_text(A))
     return 0
-
-
-def _truncate_size(S: symbolic.SymbolicAlgebra, h: int, max_cycle: int | None) -> int:
-    """Profiles and level cardinals of symbolic.truncate(S, h, max_cycle),
-    counted without building them: a tail expands to h levels, a
-    tail-free prefix keeps min(h, len(prefix)) of them."""
-    from . import symbolic
-
-    def size(prefix, tail) -> int:
-        return 1 + (h if tail is not None else min(h, len(prefix)))
-
-    total = sum(size(d.prefix, d.tail) for _, d in S.components if isinstance(d, symbolic.Profile))
-    return total + (max_cycle or 0) * sum(size(fam.prefix, fam.tail) for fam in S.families)
 
 
 def _cmd_truncate(args) -> int:
     from . import symbolic
 
-    S = symbolic.parse(args.shape) if args.limit_k is None else symbolic.fraisse_limit(args.limit_k)
-    n = _truncate_size(S, args.height, args.max_cycle)
+    if args.shape is not None and args.limit_k is not None:
+        raise ValueError(f"truncate reads a shape or --limit-k, not both; got {args.shape!r} and --limit-k {args.limit_k}")
+    S = symbolic.parse(args.shape or "") if args.limit_k is None else symbolic.fraisse_limit(args.limit_k)
+    n = symbolic.truncated_size(S, args.height, args.max_cycle)
     if n > MAX_RANDOM_N:
         cycles = f" and max-cycle {args.max_cycle}" if S.families else ""
         raise ValueError(
@@ -378,9 +352,7 @@ def _cmd_enumerate(args) -> int:
         enumeration.save_corpus(corpus, args.out)
         print(f"wrote {len(corpus.representatives)} classes to {args.out}")
     else:
-        print(f"# n={corpus.n} count={len(corpus.representatives)}")
-        for A in corpus.representatives:
-            print(" ".join(map(str, A.table)))
+        sys.stdout.writelines(enumeration.corpus_lines(corpus))
     return 0
 
 
@@ -478,11 +450,11 @@ def build_parser() -> argparse.ArgumentParser:
     operands(p)
 
     p = verb("instantiate", _cmd_instantiate, help="explicit table from a shape")
-    p.add_argument("--w", type=int, help="value substituted for w")
+    p.add_argument("--w", type=int, help="the number that w stands for")
     operands(p, "shape")
 
     p = verb("truncate", _cmd_truncate, help="cut a shape to bounded height")
-    p.add_argument("shape", nargs="?", default="")
+    p.add_argument("shape", nargs="?")
     p.add_argument("--height", type=int, required=True)
     p.add_argument("--max-cycle", type=int, default=None)
     p.add_argument("--limit-k", type=int, default=None, help="truncate the k-bounded limit family instead")

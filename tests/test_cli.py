@@ -293,7 +293,7 @@ def test_enumerate(capsys, tmp_path):
     from monoalg.enumeration import load_corpus
 
     assert len(load_corpus(str(target)).representatives) == 19
-    # the corpus format has two writers, stdout and --out, which agree
+    # stdout and --out write the corpus from one generator, byte for byte alike
     code, out, _ = run(capsys, "enumerate", "--n", "4")
     assert code == 0 and out.encode() == target.read_bytes()
 
@@ -489,7 +489,24 @@ _instantiable = st.lists(
 @given(_instantiable, st.integers(1, 3))
 @settings(max_examples=100, deadline=None)
 def test_instance_size_is_what_instantiate_builds(S, w):
-    assert cli._instance_size(S, w) == symbolic.instantiate(S, w).n
+    assert symbolic.instance_size(S, w) == symbolic.instantiate(S, w).n
+
+
+# shapes whose truncated profiles cannot merge: components with distinct
+# cycle lengths, or one limit family, which makes one per cycle length
+_profile = st.builds(symbolic.Profile, st.integers(1, 3), st.lists(_card, max_size=3), st.none() | _card)
+_unmergeable = st.lists(
+    st.tuples(_card, _profile), min_size=1, max_size=3, unique_by=lambda c: c[1].cycle,
+).map(symbolic.symbolic) | st.builds(
+    lambda m, p: symbolic.SymbolicAlgebra((), (symbolic.CycleFamily(symbolic.card(m), p.prefix, p.tail),)), _card, _profile,
+)
+
+
+@given(_unmergeable, st.integers(0, 5), st.integers(1, 4))
+@settings(max_examples=100, deadline=None)
+def test_truncated_size_is_what_truncate_builds(S, h, max_cycle):
+    T = symbolic.truncate(S, h, max_cycle)
+    assert symbolic.truncated_size(S, h, max_cycle) == sum(1 + len(d.prefix) for _, d in T.components)
 
 
 def test_bound_only_on_verbs_with_an_oracle(capsys):
@@ -519,6 +536,13 @@ def test_truncate_size_is_capped(capsys):
     assert time.perf_counter() - start < 1
     code, out, _ = run(capsys, "truncate", "A[1;2]", "--height", "10000000")
     assert code == 0 and out.strip() == "A[1;2]"
+
+
+def test_truncate_reads_a_shape_or_limit_k_not_both(capsys):
+    code, out, err = run(capsys, "truncate", "not a shape at all", "--limit-k", "2", "--height", "1", "--max-cycle", "2")
+    assert code == 2 and not out and "'not a shape at all' and --limit-k 2" in err
+    code, out, _ = run(capsys, "truncate", "--limit-k", "2", "--height", "1", "--max-cycle", "2")
+    assert code == 0 and out.strip() == "w*A[1;1] + w*A[2;1]"
 
 
 def test_instantiate_size_is_capped(capsys):

@@ -138,7 +138,7 @@ def test_only_the_unmarked_labelling_is_kept():
     assert iso.label(sk) is iso.label(sk)
     assert iso.label(sk, (0,)) is not iso.label(sk, (0,))
     assert iso.label(sk, (0,)) == iso.label(core.Skeleton(sk.table), (0,))
-    # readers sort children in place, so every call builds them afresh
+    # the lists are not kept on the skeleton: every call builds them afresh
     assert sk.children() is not sk.children()
 
 
