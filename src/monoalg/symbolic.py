@@ -487,11 +487,8 @@ def instantiate(S: SymbolicAlgebra, omega_value: int) -> FiniteMonounary:
             table += [*range(here + 1, here + sizes[0]), here]
             for k, above in zip(sizes, sizes[1:]):
                 a = above // k  # children of each of the level's k points
-                if a == 1:
-                    table += range(here, here + k)
-                else:
-                    for p in range(here, here + k):
-                        table += [p] * a
+                for p in range(here, here + k):
+                    table += [p] * a
                 here += k
     return FiniteMonounary(tuple(table))
 
