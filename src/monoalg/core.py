@@ -4,6 +4,12 @@ An algebra is stored as its value table (entry i is f(i)); the partial
 variant allows None entries.  Induced substructures on a subset B keep f
 on b exactly when f(b) lands inside B, so a subset of a total algebra is
 in general only a partial algebra.
+
+The skeleton (Skeleton, kept per table by `skeleton`) is the one peel
+of a table that the other modules read.  Next to it, _least_rotation
+gives the least rotation and the period of a cycle's sequence: iso
+reads it for the cycles of a labelling, and enumeration for the cycles
+it lays out, so that enumerating imports this module and not iso.
 """
 
 from __future__ import annotations
@@ -293,6 +299,33 @@ class Skeleton:
 # the skeleton of a table given as a tuple, shared with the call before:
 # keyed by the table's value, at most two tables' worth kept alive
 skeleton = lru_cache(maxsize=2)(Skeleton)
+
+
+def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
+    """Offset of the lexicographically least rotation and the least
+    period of the rotations, in O(k).  Two candidate offsets i < j race
+    along the doubled sequence; at the first mismatch after m equal steps
+    the loser skips m + 1 offsets, none of which starts a least rotation.
+    The race ends when j runs out or the candidates agree for k steps,
+    and then j - i is the period."""
+    k = len(seq)
+    s = seq + seq
+    i, j, m = 0, 1, 0
+    while j < k and m < k:
+        a, b = s[i + m], s[j + m]
+        if a == b:
+            m += 1
+            continue
+        if a > b:
+            i += m + 1
+        else:
+            j += m + 1
+        if i == j:
+            j += 1
+        elif i > j:
+            i, j = j, i
+        m = 0
+    return i, (j - i if m == k else k)
 
 
 def group_points(key: Sequence[int]) -> tuple[tuple[int, ...], ...]:

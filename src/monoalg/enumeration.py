@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from typing import Iterator, NamedTuple, Sequence
 
-from .core import MAX_POINTS, FiniteMonounary
-from .iso import _least_rotation
+from .core import MAX_POINTS, FiniteMonounary, _least_rotation
 
 
 class Corpus(NamedTuple):

@@ -11,7 +11,10 @@ algebra is UH iff it has that normal form (trees uniform level by level,
 components with equal cycle size isomorphic), and partially homogeneous
 iff the form is one of the five shapes of
 symbolic.is_partially_homogeneous; the lattice report reads UH, partial
-homogeneity and transitivity off one normal form.  Oracles replay the
+homogeneity and transitivity off one normal form.  These three read
+symbolic inside the function, so that importing this module for the
+oracles alone (`check ... --oracle`, `check hom-n`, `check phom-n`)
+does not import symbolic.  Oracles replay the
 definitions by exhaustive search and exist to be disagreed with, so they
 share nothing with the deciders.  They share one path with each other:
 the automorphisms and the isomorphisms between induced structures both
@@ -29,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from . import core, iso, symbolic
+from . import core, iso
 from .core import FiniteMonounary, PartialMonounary
 
 
@@ -37,12 +40,16 @@ from .core import FiniteMonounary, PartialMonounary
 # fast deciders
 
 def is_ultrahomogeneous(A: FiniteMonounary) -> bool:
+    from . import symbolic
+
     return symbolic.normal_form(A) is not None
 
 
 def is_partially_homogeneous(A: FiniteMonounary) -> bool:
     """One of the five shapes of symbolic.is_partially_homogeneous, all of
     them ultrahomogeneous."""
+    from . import symbolic
+
     S = symbolic.normal_form(A)
     return S is not None and symbolic.is_partially_homogeneous(S)
 
@@ -173,6 +180,8 @@ class LatticeReport(NamedTuple):
 
 
 def classify_lattice(A: FiniteMonounary, bound: int = core.DEFAULT_BOUND) -> LatticeReport:
+    from . import symbolic
+
     auts = _auts_for(A, bound, None)
     S = symbolic.normal_form(A)
     uh = S is not None

@@ -20,9 +20,9 @@ the parents.  Every loop reads the skeleton's flat arrays
 slice of its rank order.  A certificate is a flat pair of int
 tuples: the child-label tuples in label order, which fixes what every
 label means, and the sorted cycle label sequences, each at its least
-rotation.  Two algebras have equal certificates iff they are
-isomorphic; certificates are compared for equality only, never ordered
-or looked into.  are_isomorphic first compares what the two skeletons
+rotation (core._least_rotation, which enumeration reads too).  Two
+algebras have equal certificates iff they are isomorphic; certificates
+are compared for equality only, never ordered or looked into.  are_isomorphic first compares what the two skeletons
 carry, the level starts and the sorted cycle lengths, and labels only
 when these agree.
 Marked variants seed the child list of a marked element xs[i] with
@@ -91,7 +91,7 @@ from operator import itemgetter
 from struct import iter_unpack
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, TypeVar, Union
 
-from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, skeleton
+from .core import DEFAULT_BOUND, FiniteMonounary, Skeleton, _least_rotation, skeleton
 
 Certificate = tuple
 T = TypeVar("T")
@@ -103,33 +103,6 @@ MAX_ORDER_BITS = 1 << 20  # the group orders a refusal states exactly, in bits o
 
 # ---------------------------------------------------------------------------
 # certificates
-
-def _least_rotation(seq: Sequence[int]) -> tuple[int, int]:
-    """Offset of the lexicographically least rotation and the least
-    period of the rotations, in O(k).  Two candidate offsets i < j race
-    along the doubled sequence; at the first mismatch after m equal steps
-    the loser skips m + 1 offsets, none of which starts a least rotation.
-    The race ends when j runs out or the candidates agree for k steps,
-    and then j - i is the period."""
-    k = len(seq)
-    s = seq + seq
-    i, j, m = 0, 1, 0
-    while j < k and m < k:
-        a, b = s[i + m], s[j + m]
-        if a == b:
-            m += 1
-            continue
-        if a > b:
-            i += m + 1
-        else:
-            j += m + 1
-        if i == j:
-            j += 1
-        elif i > j:
-            i, j = j, i
-        m = 0
-    return i, (j - i if m == k else k)
-
 
 def _paused(size: int, build: Callable[..., T], *args: object) -> T:
     """build(*args), with the cyclic garbage collector paused when `size`,
