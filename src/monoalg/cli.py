@@ -26,15 +26,24 @@ the default oracle bound (otherwise 8); it and --bound must be at least 1.
 run() is the process entry, which `python -m monoalg.cli` and the
 `monoalg` script call: it flushes the answer and leaves without the
 interpreter's teardown, and a closed pipe exits 2.  main() is the
-in-process entry, which returns the exit code; it builds the parser once
-per process and reads MONOALG_BOUND on every call.
+in-process entry, which returns the exit code; it reads MONOALG_BOUND on
+every call.  A call that names a verb is parsed by a parser that holds
+that verb alone, built once per verb per process from _VERBS, the one
+list of the verbs; a call that names none, and a top-level usage error,
+whose usage line lists every verb, by the parser of every verb.  Every
+text that argparse prints is the same either way.
 
 Each verb imports only the modules it reads, so a call pays only for
-the code it runs, and it restates none of their rules: the parser reads
-its limits from core; instantiate and truncate count what they would
-build with symbolic.instance_size and symbolic.truncated_size before
-building it; a table is written by core.to_json or core.to_text and a
-corpus by enumeration.corpus_lines, the formats their readers read.
+the code it runs: analyze and export-dot read core alone; iso and aut
+iso; orbits iso and orbits; check symbolic for a decider, homogeneity
+and iso for a search (--oracle, hom-n, phom-n) and all three for pf-uh;
+classify all three; decompose, limit, instantiate and truncate
+symbolic; enumerate enumeration; semilinear iso and semilinear.  A verb
+restates none of their rules: the parser reads its limits from core;
+instantiate and truncate count what they would build with
+symbolic.instance_size and symbolic.truncated_size before building it;
+a table is written by core.to_json or core.to_text and a corpus by
+enumeration.corpus_lines, the formats their readers read.
 README's Command line section lists the limits that bound each verb's
 work.  `check` reads its properties from one table, _PROPERTIES.
 """
@@ -332,7 +341,9 @@ def _cmd_truncate(args) -> int:
 
     if args.shape is not None and args.limit_k is not None:
         raise ValueError(f"truncate reads a shape or --limit-k, not both; got {args.shape!r} and --limit-k {args.limit_k}")
-    S = symbolic.parse(args.shape or "") if args.limit_k is None else symbolic.fraisse_limit(args.limit_k)
+    if args.shape is None and args.limit_k is None:
+        raise ValueError("truncate reads a shape or --limit-k; got neither")
+    S = symbolic.parse(args.shape) if args.limit_k is None else symbolic.fraisse_limit(args.limit_k)
     n = symbolic.truncated_size(S, args.height, args.max_cycle)
     if n > MAX_RANDOM_N:
         cycles = f" and max-cycle {args.max_cycle}" if S.families else ""
@@ -340,7 +351,11 @@ def _cmd_truncate(args) -> int:
             f"truncate builds at most {MAX_RANDOM_N} profiles and level cardinals;"
             f" {symbolic.show(S)!r} to height {args.height}{cycles} has {n}"
         )
-    _emit_shape(args, symbolic.truncate(S, args.height, max_cycle=args.max_cycle))
+    T = symbolic.truncate(S, args.height, max_cycle=args.max_cycle)
+    # after truncate's own refusals, so that a bad --max-cycle is named as one
+    if args.max_cycle is not None and not S.families:
+        raise ValueError(f"--max-cycle applies to a limit family only; {args.shape!r} has none")
+    _emit_shape(args, T)
     return 0
 
 
@@ -393,6 +408,46 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+def _arg(*flags: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """One argument of a verb's parser, as add_argument takes it."""
+    return flags, kwargs
+
+
+_JSON = _arg("--json", action="store_true")
+# --bound has no default of its own: main gives it one from MONOALG_BOUND
+# on each call, so that one parser serves every call in a process
+_BOUND = _arg("--bound", type=_bound, default=argparse.SUPPRESS)
+
+# every verb, in the order its usage line lists them: the handler that
+# main calls, its help, and its parser's arguments in declaration order
+_VERBS = {
+    "analyze": (_cmd_analyze, "structural report", [_arg("algebra"), _JSON]),
+    "iso": (_cmd_iso, "isomorphism test", [_arg("left"), _arg("right"), _JSON]),
+    "aut": (_cmd_aut, "list automorphisms", [
+        _arg("algebra"), _JSON, _BOUND, _arg("--oracle", action="store_true", help="brute-force filter")]),
+    "orbits": (_cmd_orbits, "orbit profile", [
+        _arg("algebra"), _JSON, _arg("--n", type=int, default=1, help="largest tuple arity")]),
+    "check": (_cmd_check, "decide a property", [
+        _arg("property", choices=_PROPERTIES), _arg("algebra"), _JSON, _BOUND, _arg("--k", type=int),
+        _arg("--oracle", action="store_true", help="definition-level search")]),
+    "classify": (_cmd_classify, "full homogeneity lattice report", [_arg("algebra"), _JSON, _BOUND]),
+    "decompose": (_cmd_decompose, "symbolic normal form of a UH algebra", [_arg("algebra"), _JSON]),
+    "limit": (_cmd_limit, "age-limit family", [
+        _arg("--k", type=int, default=None, help="indegree bound; omit for all finite algebras"), _JSON]),
+    "instantiate": (_cmd_instantiate, "explicit table from a shape", [
+        _arg("--w", type=int, help="the number that w stands for"), _arg("shape"), _JSON]),
+    "truncate": (_cmd_truncate, "cut a shape to bounded height", [
+        _arg("shape", nargs="?"), _arg("--height", type=int, required=True), _arg("--max-cycle", type=int, default=None),
+        _arg("--limit-k", type=int, default=None, help="truncate the k-bounded limit family instead"), _JSON]),
+    "enumerate": (_cmd_enumerate, f"all classes up to isomorphism on n <= {core.MAX_POINTS} points,"
+                  " built as multisets of cycles of rooted trees, each as its least table", [
+        _arg("--n", type=int, required=True, help=f"number of points, 1..{core.MAX_POINTS}"), _arg("--out")]),
+    "semilinear": (_cmd_semilinear, "order on the tree above a cyclic element", [
+        _arg("algebra"), _JSON, _BOUND, _arg("--root", type=int, required=True)]),
+    "export-dot": (_cmd_export_dot, "digraph form", [_arg("algebra"), _arg("--out")]),
+}
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse drops an OSError from writing the help; this parser lets
     it through to main, so that help written into a closed pipe is
@@ -402,89 +457,38 @@ class _Parser(argparse.ArgumentParser):
         (file or sys.stdout).write(self.format_help())
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every verb.  --bound has no default of its own: main
-    gives it one from MONOALG_BOUND on each call, so that one parser
-    serves every call in a process."""
+def build_parser(*verbs: str) -> argparse.ArgumentParser:
+    """The parser of the named verbs, or of every verb when none is
+    named.  A verb's own parser, and so its help and its usage errors,
+    is the same either way; only the top-level usage line lists fewer
+    verbs."""
     parser = _Parser(prog="monoalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def verb(name, run, **kwargs) -> argparse.ArgumentParser:
-        """The verb's parser, naming `run` as the handler that main calls."""
-        p = sub.add_parser(name, **kwargs)
+    for name in verbs or _VERBS:
+        run, summary, arguments = _VERBS[name]
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(run=run)
-        return p
-
-    def operands(p, *names, bound=False) -> None:
-        """The positional operands, --json and, for a verb with an oracle, --bound."""
-        for name in names:
-            p.add_argument(name)
-        p.add_argument("--json", action="store_true")
-        if bound:
-            p.add_argument("--bound", type=_bound, default=argparse.SUPPRESS)
-
-    operands(verb("analyze", _cmd_analyze, help="structural report"), "algebra")
-
-    operands(verb("iso", _cmd_iso, help="isomorphism test"), "left", "right")
-
-    p = verb("aut", _cmd_aut, help="list automorphisms")
-    operands(p, "algebra", bound=True)
-    p.add_argument("--oracle", action="store_true", help="brute-force filter")
-
-    p = verb("orbits", _cmd_orbits, help="orbit profile")
-    operands(p, "algebra")
-    p.add_argument("--n", type=int, default=1, help="largest tuple arity")
-
-    p = verb("check", _cmd_check, help="decide a property")
-    p.add_argument("property", choices=_PROPERTIES)
-    operands(p, "algebra", bound=True)
-    p.add_argument("--k", type=int)
-    p.add_argument("--oracle", action="store_true", help="definition-level search")
-
-    operands(verb("classify", _cmd_classify, help="full homogeneity lattice report"), "algebra", bound=True)
-
-    operands(verb("decompose", _cmd_decompose, help="symbolic normal form of a UH algebra"), "algebra")
-
-    p = verb("limit", _cmd_limit, help="age-limit family")
-    p.add_argument("--k", type=int, default=None, help="indegree bound; omit for all finite algebras")
-    operands(p)
-
-    p = verb("instantiate", _cmd_instantiate, help="explicit table from a shape")
-    p.add_argument("--w", type=int, help="the number that w stands for")
-    operands(p, "shape")
-
-    p = verb("truncate", _cmd_truncate, help="cut a shape to bounded height")
-    p.add_argument("shape", nargs="?")
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--max-cycle", type=int, default=None)
-    p.add_argument("--limit-k", type=int, default=None, help="truncate the k-bounded limit family instead")
-    operands(p)
-
-    p = verb("enumerate", _cmd_enumerate, help=f"all classes up to isomorphism on n <= {core.MAX_POINTS} points,"
-             " built as multisets of cycles of rooted trees, each as its least table")
-    p.add_argument("--n", type=int, required=True, help=f"number of points, 1..{core.MAX_POINTS}")
-    p.add_argument("--out")
-
-    p = verb("semilinear", _cmd_semilinear, help="order on the tree above a cyclic element")
-    operands(p, "algebra", bound=True)
-    p.add_argument("--root", type=int, required=True)
-
-    p = verb("export-dot", _cmd_export_dot, help="digraph form")
-    p.add_argument("algebra")
-    p.add_argument("--out")
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
-_parser = functools.cache(build_parser)
+_parser = functools.cache(build_parser)  # per process: one parser per verb, and one of every verb
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # MONOALG_BOUND is read on every call, for every verb, so that a
         # bad value always fails; --bound, when given, overrides it
-        defaults = argparse.Namespace(bound=_default_bound())
-        args = _parser().parse_args(argv, defaults)
+        bound = _default_bound()
+        # a call that names a verb is read by that verb's parser; one that
+        # names none, and a top-level error, whose usage line lists every
+        # verb, by the parser of every verb
+        parser = _parser(argv[0]) if argv and argv[0] in _VERBS else _parser()
+        args, extra = parser.parse_known_args(argv, argparse.Namespace(bound=bound))
+        if extra:
+            args = _parser().parse_args(argv, argparse.Namespace(bound=bound))
         return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

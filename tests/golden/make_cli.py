@@ -122,6 +122,8 @@ def grid() -> list[tuple[list[str], dict[str, str]]]:
     json_too(["truncate", "--limit-k", "1", "--height", "-1"])
     json_too(["truncate", "--limit-k", "2", "--height", "2", "--max-cycle", "0"])
     json_too(["truncate", "A[1;w]", "--height", "2", "--max-cycle", "-1"])
+    json_too(["truncate", "A[1;w]", "--height", "2", "--max-cycle", "3"])
+    json_too(["truncate", "--height", "3"])
     json_too(["truncate", "not a shape at all", "--limit-k", "2", "--height", "1", "--max-cycle", "2"])
 
     for n in ("-1", "0", "1", "2", "3", "4", "5", "13"):

@@ -543,6 +543,14 @@ def test_truncate_reads_a_shape_or_limit_k_not_both(capsys):
     assert code == 2 and not out and "'not a shape at all' and --limit-k 2" in err
     code, out, _ = run(capsys, "truncate", "--limit-k", "2", "--height", "1", "--max-cycle", "2")
     assert code == 0 and out.strip() == "w*A[1;1] + w*A[2;1]"
+    assert run(capsys, "truncate", "--height", "3") == (2, "", "error: truncate reads a shape or --limit-k; got neither\n")
+
+
+def test_truncate_refuses_max_cycle_without_a_limit_family(capsys):
+    code, out, err = run(capsys, "truncate", "A[1;w]", "--height", "2", "--max-cycle", "3")
+    assert code == 2 and not out and "--max-cycle" in err and "'A[1;w]'" in err
+    code, out, err = run(capsys, "truncate", "A[1;w]", "--height", "2", "--max-cycle", "-1")
+    assert code == 2 and not out and "max_cycle must be at least 1, got -1" in err
 
 
 def test_instantiate_size_is_capped(capsys):
@@ -552,30 +560,37 @@ def test_instantiate_size_is_capped(capsys):
     assert code == 0 and out.startswith("f: 0 0")
 
 
-# one tiny call per verb, with the package modules besides monoalg and
-# monoalg.core that it reads
-VERB_CALLS = [
-    (["analyze", "f: 1 0 0", "--json"], set()),
-    (["iso", "f: 0 0 0", "f: 1 1 1", "--json"], {"iso"}),
-    (["aut", "f: 1 2 3 0", "--json"], {"iso"}),
-    (["orbits", "f: 0 0 0", "--n", "2", "--json"], {"iso", "orbits"}),
-    (["check", "uh", "f: 1 2 0", "--json"], {"symbolic"}),
-    (["classify", "f: 1 0 0", "--json"], {"homogeneity", "iso", "symbolic"}),
-    (["decompose", "f: 1 2 0", "--json"], {"symbolic"}),
-    (["limit", "--k", "1", "--json"], {"symbolic"}),
-    (["instantiate", "A[1;2]", "--w", "1", "--json"], {"symbolic"}),
-    (["truncate", "A[2;1;2]", "--height", "1", "--json"], {"symbolic"}),
-    (["enumerate", "--n", "3"], {"enumeration", "iso"}),
-    (["semilinear", "f: 0 0 0 1", "--root", "0", "--json"], {"iso", "semilinear"}),
-    (["export-dot", "f: 1 2 0"], set()),
-]
+# one tiny call per verb, and one per search that `check` runs, by test
+# id, each with the package modules besides monoalg and monoalg.core
+# that it reads
+VERB_CALLS = {
+    "analyze": (["analyze", "f: 1 0 0", "--json"], set()),
+    "iso": (["iso", "f: 0 0 0", "f: 1 1 1", "--json"], {"iso"}),
+    "aut": (["aut", "f: 1 2 3 0", "--json"], {"iso"}),
+    "orbits": (["orbits", "f: 0 0 0", "--n", "2", "--json"], {"iso", "orbits"}),
+    "check": (["check", "uh", "f: 1 2 0", "--json"], {"symbolic"}),
+    "classify": (["classify", "f: 1 0 0", "--json"], {"homogeneity", "iso", "symbolic"}),
+    "decompose": (["decompose", "f: 1 2 0", "--json"], {"symbolic"}),
+    "limit": (["limit", "--k", "1", "--json"], {"symbolic"}),
+    "instantiate": (["instantiate", "A[1;2]", "--w", "1", "--json"], {"symbolic"}),
+    "truncate": (["truncate", "A[2;1;2]", "--height", "1", "--json"], {"symbolic"}),
+    "enumerate": (["enumerate", "--n", "3"], {"enumeration"}),
+    "semilinear": (["semilinear", "f: 0 0 0 1", "--root", "0", "--json"], {"iso", "semilinear"}),
+    "export-dot": (["export-dot", "f: 1 2 0"], set()),
+    "check uh --oracle": (["check", "uh", "f: 1 2 0", "--oracle", "--json"], {"homogeneity", "iso"}),
+    "check hom-n": (["check", "hom-n", "f: 1 0 0", "--k", "1", "--json"], {"homogeneity", "iso"}),
+    "check phom-n": (["check", "phom-n", "f: 1 2 0", "--k", "1", "--json"], {"homogeneity", "iso"}),
+    "check pf-uh": (["check", "pf-uh", "f: 1 0 3 2", "--json"], {"homogeneity", "iso", "symbolic"}),
+}
+# each verb's own call
+ONE_CALL_PER_VERB = [argv for name, (argv, _) in VERB_CALLS.items() if name == argv[0]]
 
 
 # the environment a program run needs: the package on its path
 PROGRAM_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(monoalg.__file__)))
 
 
-@pytest.mark.parametrize("argv, modules", VERB_CALLS, ids=[argv[0] for argv, _ in VERB_CALLS])
+@pytest.mark.parametrize("argv, modules", VERB_CALLS.values(), ids=list(VERB_CALLS))
 def test_verb_as_a_program_loads_only_what_it_reads(argv, modules):
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "monoalg.cli", *argv],
@@ -611,7 +626,7 @@ def test_runtime_is_stdlib_only():
 
 
 # cli.run() ends its process with os._exit, so it is run only as a program
-PROCESS_CALLS = [argv for argv, _ in VERB_CALLS] + [
+PROCESS_CALLS = ONE_CALL_PER_VERB + [
     ["aut", "f: 0 0 0 0 0 0 0 0"],  # 5040 rows, more than any buffer holds
     ["enumerate", "--n", "6"],
     ["iso", "f: 0 0 0", "f: 1 0 0"],  # exit 1
@@ -663,8 +678,9 @@ def test_a_closed_pipe_exits_2(argv, lines, unbuffered):
 
 
 def test_one_parser_reads_the_bound_env_on_every_call(capsys, monkeypatch):
-    """The parser is built once per process, and each main call reads
-    MONOALG_BOUND anew."""
+    """A verb's parser is built once per process, and each main call
+    reads MONOALG_BOUND anew."""
+    cli._parser.cache_clear()
     monkeypatch.setenv("MONOALG_BOUND", "3")
     assert run(capsys, "aut", "f: 0 0 0 1", "--oracle") == (2, "", "error: bound exceeded: n=4 > 3\n")
     monkeypatch.setenv("MONOALG_BOUND", "4")
@@ -672,4 +688,36 @@ def test_one_parser_reads_the_bound_env_on_every_call(capsys, monkeypatch):
     monkeypatch.setenv("MONOALG_BOUND", "x")
     code, _, err = run(capsys, "aut", "f: 0 0 0 1")
     assert code == 2 and "MONOALG_BOUND must be an integer of at least 1, got 'x'" in err
-    assert cli._parser() is cli._parser()
+    assert cli._parser.cache_info().currsize == 1  # aut's own parser, and no other
+    assert cli._parser("aut") is cli._parser("aut")
+
+
+def run_or_exit(capsys, *argv):
+    """As run, with argparse's SystemExit taken as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", ONE_CALL_PER_VERB, ids=[argv[0] for argv in ONE_CALL_PER_VERB])
+def test_a_verbs_own_parser_prints_what_the_parser_of_every_verb_prints(capsys, monkeypatch, argv):
+    """main reads a call that names a verb with that verb's parser alone.
+    The verb's help, a missing operand, an unrecognized argument (a
+    top-level error, whose usage line lists every verb) and a bad
+    --bound, an unrecognized argument too on a verb without one, print
+    the same text with the same exit code as through the parser of every
+    verb."""
+    operands = [word for word in argv if word != "--json"]
+    calls = [[argv[0], "--help"], argv[:1], [*operands, "--bogus"], [*operands, "--bound", "0"]]
+    built, cached = [], cli._parser
+    monkeypatch.setattr(cli, "_parser", lambda *verbs: built.append(verbs) or cached(*verbs))
+    own = [run_or_exit(capsys, *call) for call in calls]
+    assert set(built) == {(argv[0],), ()}  # the parser of every verb only for the top-level error
+    every = cli.build_parser()
+    monkeypatch.setattr(cli, "_parser", lambda *verbs: every)
+    assert own == [run_or_exit(capsys, *call) for call in calls]
+    assert own[0][0] == 0 and own[0][1].startswith(f"usage: monoalg {argv[0]} ")
+    assert own[2][0] == 2 and "{" + ",".join(cli._VERBS) + "}" in own[2][2]
