@@ -460,8 +460,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser(*verbs: str) -> argparse.ArgumentParser:
     """The parser of the named verbs, or of every verb when none is
     named.  A verb's own parser, and so its help and its usage errors,
-    is the same either way; only the top-level usage line lists fewer
-    verbs."""
+    is the same either way; only the top level, which main prints from
+    the parser of every verb, lists fewer verbs."""
     parser = _Parser(prog="monoalg", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name in verbs or _VERBS:

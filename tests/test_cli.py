@@ -546,13 +546,6 @@ def test_truncate_reads_a_shape_or_limit_k_not_both(capsys):
     assert run(capsys, "truncate", "--height", "3") == (2, "", "error: truncate reads a shape or --limit-k; got neither\n")
 
 
-def test_truncate_refuses_max_cycle_without_a_limit_family(capsys):
-    code, out, err = run(capsys, "truncate", "A[1;w]", "--height", "2", "--max-cycle", "3")
-    assert code == 2 and not out and "--max-cycle" in err and "'A[1;w]'" in err
-    code, out, err = run(capsys, "truncate", "A[1;w]", "--height", "2", "--max-cycle", "-1")
-    assert code == 2 and not out and "max_cycle must be at least 1, got -1" in err
-
-
 def test_instantiate_size_is_capped(capsys):
     code, out, err = run(capsys, "instantiate", "A[1;w,w,w,w]", "--w", "1000")
     assert code == 2 and not out and "1000000" in err
@@ -705,11 +698,11 @@ def run_or_exit(capsys, *argv):
 @pytest.mark.parametrize("argv", ONE_CALL_PER_VERB, ids=[argv[0] for argv in ONE_CALL_PER_VERB])
 def test_a_verbs_own_parser_prints_what_the_parser_of_every_verb_prints(capsys, monkeypatch, argv):
     """main reads a call that names a verb with that verb's parser alone.
-    The verb's help, a missing operand, an unrecognized argument (a
-    top-level error, whose usage line lists every verb) and a bad
-    --bound, an unrecognized argument too on a verb without one, print
-    the same text with the same exit code as through the parser of every
-    verb."""
+    The verb's help, the verb with no operand (a missing operand on every
+    verb but limit), an unrecognized argument (a top-level error, whose
+    usage line lists every verb) and a bad --bound (an unrecognized
+    argument too on a verb without one) print the same text with the same
+    exit code as through the parser of every verb."""
     operands = [word for word in argv if word != "--json"]
     calls = [[argv[0], "--help"], argv[:1], [*operands, "--bogus"], [*operands, "--bound", "0"]]
     built, cached = [], cli._parser
