@@ -20,11 +20,14 @@ share nothing with the deciders.  They share one path with each other:
 the automorphisms and the isomorphisms between induced structures both
 come from the one permutation filter iso.partial_iso_images, and one
 check, _all_extend, asks that every such isomorphism between equal-size
-sets of a family is the restriction of an automorphism.  The families
-are the subalgebras (UH), the one-generated subalgebras (1-UH), the
-k-element subalgebras (n-homogeneity) and all k-subsets (partial
-n-homogeneity); a single-operation oracle is the one-table case of the
-multi-operation check.
+sets of a family is the restriction of an automorphism.  It reads each
+unordered pair of sets once, since the whole group holds the inverse
+of every automorphism.  The families are the subalgebras (UH), the
+one-generated subalgebras <x> (1-UH), the k-element subalgebras
+(n-homogeneity) and all k-subsets (partial n-homogeneity); the
+subalgebras are listed as the unions of the <x>, since each is the
+union of the <x> it contains.  A single-operation oracle is the
+one-table case of the multi-operation check.
 """
 
 from __future__ import annotations
@@ -61,32 +64,45 @@ def _all_extend(
     tables: Sequence[Sequence[int]], auts: Sequence[tuple[int, ...]], sets: Sequence[tuple[int, ...]]
 ) -> bool:
     """For every pair (S, T) of equal-size sets, every isomorphism of the
-    induced structures S -> T is the restriction of an automorphism."""
+    induced structures S -> T is the restriction of an automorphism;
+    auts is the whole group.  T runs from S's own position on: the
+    inverse of an isomorphism T -> S is an isomorphism S -> T, and the
+    inverse automorphism extends it."""
     images_of = list(zip(*auts))  # images_of[x]: x's image under each automorphism
-    for S in sets:
+    for s, S in enumerate(sets):
         restrictions = set(zip(*map(images_of.__getitem__, S)))
-        for T in sets:
-            if len(T) == len(S) and not all(
-                images in restrictions for images in iso.partial_iso_images(tables, S, T)
-            ):
+        isos = iso.partial_iso_filter(tables, S)
+        for T in sets[s:]:
+            if len(T) == len(S) and not all(images in restrictions for images in isos(T)):
                 return False
     return True
 
 
-def _subalgebras(tables: Sequence[Sequence[int]], one_generated: bool = False) -> list[tuple[int, ...]]:
-    """The nonempty subsets closed under every table, smallest first; in
-    a finite algebra these are exactly the subalgebras.  With
-    one_generated, only the least one around each point."""
-    n = len(tables[0])
-    closed = [
-        S
-        for k in range(1, n + 1)
-        for S in combinations(range(n), k)
-        if all(t[x] in S for t in tables for x in S)
-    ]
-    if one_generated:
-        closed = list(dict.fromkeys(next(S for S in closed if x in S) for x in range(n)))
-    return closed
+def _generated(tables: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The one-generated subalgebras <x>, each once, ordered by the least
+    x that generates it."""
+    found: dict[tuple[int, ...], None] = {}
+    for x in range(len(tables[0])):
+        closure = [x]
+        seen = {x}
+        for y in closure:
+            for t in tables:
+                if t[y] not in seen:
+                    seen.add(t[y])
+                    closure.append(t[y])
+        found.setdefault(tuple(sorted(closure)), None)
+    return list(found)
+
+
+def _subalgebras(generated: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Every subalgebra, smallest first, then in lexicographic order, from
+    the one-generated ones: a subalgebra is the union of the <x> it
+    contains, and a union of closed sets is closed."""
+    unions = {frozenset()}
+    for G in generated:
+        unions |= {U.union(G) for U in unions}
+    unions.discard(frozenset())
+    return sorted(map(tuple, map(sorted, unions)), key=lambda S: (len(S), S))
 
 
 def _auts_for(A: FiniteMonounary, bound: int, auts) -> list[tuple[int, ...]]:
@@ -99,14 +115,14 @@ def is_ultrahomogeneous_oracle(
     A: FiniteMonounary, bound: int = core.DEFAULT_BOUND, auts=None
 ) -> bool:
     tables = [A.table]
-    return _all_extend(tables, _auts_for(A, bound, auts), _subalgebras(tables))
+    return _all_extend(tables, _auts_for(A, bound, auts), _subalgebras(_generated(tables)))
 
 
 def is_1_ultrahomogeneous_oracle(
     A: FiniteMonounary, bound: int = core.DEFAULT_BOUND, auts=None
 ) -> bool:
     tables = [A.table]
-    return _all_extend(tables, _auts_for(A, bound, auts), _subalgebras(tables, one_generated=True))
+    return _all_extend(tables, _auts_for(A, bound, auts), _generated(tables))
 
 
 def is_n_homogeneous(
@@ -118,7 +134,7 @@ def is_n_homogeneous(
         raise ValueError("k must be positive")
     auts = _auts_for(A, bound, auts)
     tables = [A.table]
-    return _all_extend(tables, auts, [S for S in _subalgebras(tables) if len(S) == k])
+    return _all_extend(tables, auts, [S for S in _subalgebras(_generated(tables)) if len(S) == k])
 
 
 def is_partially_n_homogeneous(
@@ -232,7 +248,8 @@ def multiunary_brute_check(tables: Sequence[Sequence[int]], bound: int = core.DE
     if n > bound:
         raise ValueError(f"bound exceeded: n={n} > {bound}")
     auts = list(iso.partial_iso_images(tabs, range(n), range(n)))
+    generated = _generated(tabs)
     return {
-        "is_1_ultrahomogeneous": _all_extend(tabs, auts, _subalgebras(tabs, one_generated=True)),
-        "is_ultrahomogeneous": _all_extend(tabs, auts, _subalgebras(tabs)),
+        "is_1_ultrahomogeneous": _all_extend(tabs, auts, generated),
+        "is_ultrahomogeneous": _all_extend(tabs, auts, _subalgebras(generated)),
     }

@@ -253,21 +253,34 @@ def partial_iso_images(
     in S, t[x] goes to t of the image of x; where t[x] leaves S, t of the
     image leaves T.  On closed sets the second rule never fires, so this
     one filter serves total, partial and multi-operation structures.
-    Oracle-grade: it tries every permutation of T."""
-    if len(S) != len(T):
-        return
+    Oracle-grade: it tries every permutation of T, in itertools' order."""
+    return partial_iso_filter(tables, S)(T)
+
+
+def partial_iso_filter(
+    tables: Sequence[Sequence[int]], S: Sequence[int]
+) -> Callable[[Sequence[int]], Iterator[tuple[int, ...]]]:
+    """partial_iso_images with S fixed: S's rules are built once, and
+    the function returned yields the images for each T it is given."""
+    size = len(S)
     pos = {x: i for i, x in enumerate(S)}
-    tset = set(T)
     # one rule per table and position i: t[S[i]] sits at position j of S,
     # or j is None when it leaves S
     rules = [(t, i, pos.get(t[x])) for t in tables for i, x in enumerate(S)]
-    for perm in permutations(T):
-        for t, i, j in rules:
-            y = t[perm[i]]
-            if y in tset if j is None else y != perm[j]:
-                break
-        else:
-            yield perm
+
+    def images(T: Sequence[int]) -> Iterator[tuple[int, ...]]:
+        if len(T) != size:
+            return
+        tset = set(T)
+        for perm in permutations(T):
+            for t, i, j in rules:
+                y = t[perm[i]]
+                if y in tset if j is None else y != perm[j]:
+                    break
+            else:
+                yield perm
+
+    return images
 
 
 def brute_force_automorphisms(A: FiniteMonounary, bound: int = DEFAULT_BOUND) -> list[tuple[int, ...]]:

@@ -13,6 +13,9 @@ for each arity k >= 2 one triple per representative (k-1)-tuple xs,
 with the orbit numbering of its stabilizer; the k-tuple representatives
 are xs + (x,), one x per orbit number.  profile counts the orbits of
 every arity off the triples, for orbit_profile and the orbits verb.
+n_orbit_count_bruteforce is the oracle it is checked against: it counts
+the k-tuple orbits by marking every image of each unmarked tuple under
+the whole group, since a tuple's orbit is its set of images.
 """
 
 from __future__ import annotations
@@ -134,7 +137,10 @@ def n_orbit_count(A: FiniteMonounary, k: int) -> int:
 def n_orbit_count_bruteforce(
     A: FiniteMonounary, k: int, cap: int = 250_000, auts=None
 ) -> int:
-    """Union-find over all k-tuples under the full automorphism action."""
+    """Count the orbits of k-tuples by marking every image of each
+    unmarked tuple, in lexicographic order; auts is the whole group.  The
+    orbit of a tuple is its set of images under the group, so each orbit
+    is counted once, at its first tuple."""
     if k < 1:
         raise ValueError("arity must be positive")
     total = A.n ** k
@@ -143,20 +149,11 @@ def n_orbit_count_bruteforce(
     if auts is None:
         auts = brute_force_automorphisms(A)
 
-    tuples = list(product(range(A.n), repeat=k))
-    index = {t: i for i, t in enumerate(tuples)}
-    parent = list(range(total))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, t in enumerate(tuples):
-        for p in auts:
-            j = index[tuple(p[x] for x in t)]
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for i in range(total) if find(i) == i)
+    images_of = list(zip(*auts))  # images_of[x]: x's image under each automorphism
+    marked: set[tuple[int, ...]] = set()
+    count = 0
+    for t in product(range(A.n), repeat=k):
+        if t not in marked:
+            count += 1
+            marked.update(zip(*map(images_of.__getitem__, t)))
+    return count

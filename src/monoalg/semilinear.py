@@ -7,7 +7,9 @@ when y = f(x), so the order and the partial operation determine each
 other; their automorphism groups coincide.  build_order therefore keeps
 only the covers, one per element above c, and check_aut_equality
 verifies the coincidence on concrete inputs with two independent
-brute-force filters.
+brute-force filters.  The order's filter keeps a permutation that maps
+every related pair to a related pair: on a finite relation that is the
+two-way condition, since p x p is injective.
 """
 
 from __future__ import annotations
@@ -44,9 +46,12 @@ def check_aut_equality(
 ) -> tuple[bool, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     """Automorphisms of the tree above c, once as a partial algebra (the
     oracles' filter iso.partial_iso_images) and once as an order (a
-    filter of its own); returns the verdict with both lists (local
-    indices into the ascending element list).  The tree and its order
-    come straight from the definitions, not from build_order."""
+    filter of its own, which reads the |L| related pairs, not all k^2
+    pairs of the k points: a permutation p maps the finite relation L
+    into itself iff onto itself, p x p being injective); returns the
+    verdict with both lists (local indices into the ascending element
+    list), each in the order of the permutations tried.  The tree and its order come straight
+    from the definitions, not from build_order."""
     f, n = A.table, A.n
     if not 0 <= c < n:
         raise ValueError(f"element out of range: {c}")
@@ -68,7 +73,6 @@ def check_aut_equality(
     if k > bound:
         raise ValueError(f"bound exceeded: tree size {k} > {bound}")
     pos = {e: i for i, e in enumerate(elems)}
-    rng = range(k)
     alg = [tuple(map(pos.__getitem__, images)) for images in iso.partial_iso_images([f], elems, elems)]
 
     def down(b: int) -> Iterator[int]:  # b, f(b), ..., c: the elements <= b
@@ -78,9 +82,5 @@ def check_aut_equality(
             yield b
 
     lset = {(pos[a], pos[b]) for b in elems for a in down(b)}
-    ord_auts = [
-        p
-        for p in permutations(rng)
-        if all(((p[a], p[b]) in lset) == ((a, b) in lset) for a in rng for b in rng)
-    ]
+    ord_auts = [p for p in permutations(range(k)) if all((p[a], p[b]) in lset for a, b in lset)]
     return alg == ord_auts, tuple(alg), tuple(ord_auts)

@@ -67,7 +67,11 @@ def partial_iso_images(tables, S, T):
     when t(x) is outside S; in the order of permutations(T)."""
     if len(S) != len(T):
         return []
-    out = []
+    return list(_partial_isos(tables, S, T))
+
+
+def _partial_isos(tables, S, T):
+    """partial_iso_images as a generator, for len(S) == len(T)."""
     for perm in permutations(T):
         m = dict(zip(S, perm))
         if all(
@@ -75,8 +79,89 @@ def partial_iso_images(tables, S, T):
             for t in tables
             for x in S
         ):
-            out.append(perm)
-    return out
+            yield perm
+
+
+def subalgebras(tables):
+    """Every nonempty subset closed under every table, by size, then in
+    lexicographic order: the sweep over all 2^n subsets."""
+    n = len(tables[0])
+    return [
+        S
+        for k in range(1, n + 1)
+        for S in combinations(range(n), k)
+        if all(t[x] in S for t in tables for x in S)
+    ]
+
+
+def one_generated(tables):
+    """The least closed set around each point, each once, ordered by the
+    least point it is the least closed set around."""
+    closed = subalgebras(tables)
+    return list(dict.fromkeys(next(S for S in closed if x in S) for x in range(len(tables[0]))))
+
+
+def all_extend(tables, auts, sets):
+    """For every ordered pair (S, T) of equal-size sets of the family,
+    every isomorphism of the induced structures S -> T is the restriction
+    of an automorphism in auts."""
+    for S in sets:
+        restrictions = {tuple(p[x] for x in S) for p in auts}
+        for T in sets:
+            if len(T) == len(S) and any(
+                images not in restrictions for images in _partial_isos(tables, S, T)
+            ):
+                return False
+    return True
+
+
+def orbit_count_union_find(auts, n, k):
+    """Orbits of k-tuples: union-find over every (tuple, automorphism)
+    pair, which needs only generators of the group."""
+    tuples = list(product(range(n), repeat=k))
+    index = {t: i for i, t in enumerate(tuples)}
+    parent = list(range(len(tuples)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, t in enumerate(tuples):
+        for p in auts:
+            parent[find(i)] = find(index[tuple(p[x] for x in t)])
+    return sum(1 for i in range(len(tuples)) if find(i) == i)
+
+
+def order_automorphisms(table, c):
+    """Permutations of the tree above the cyclic point c, as local
+    indices into its ascending element list, that preserve its order both
+    ways: for all k^2 pairs, p(a) <= p(b) iff a <= b.  The tree is c and
+    every point off the cycles whose path first meets a cycle at c; below
+    b lie b, f(b), ..., c."""
+    n = len(table)
+
+    def path(x):  # x, f(x), ..., n points on
+        out = [x]
+        for _ in range(n):
+            out.append(table[out[-1]])
+        return out
+
+    cyclic = {x for x in range(n) if x in path(table[x])}
+    elems = [x for x in range(n) if x == c or x not in cyclic and next(y for y in path(x) if y in cyclic) == c]
+    k = len(elems)
+
+    def below(b):
+        p = path(b)
+        return set(p[: p.index(c) + 1])
+
+    leq = [[elems[a] in below(elems[b]) for b in range(k)] for a in range(k)]
+    return [
+        p
+        for p in permutations(range(k))
+        if all(leq[p[a]][p[b]] == leq[a][b] for a in range(k) for b in range(k))
+    ]
 
 
 def exists_iso(t1, t2) -> bool:

@@ -96,9 +96,9 @@ def test_criterion_03_lattice_implications_and_witnesses(corpus, capsys):
 
 
 def test_criterion_04_orbit_counts(corpus, capsys):
-    """Certificate labels count tuple orbits exactly (against union-find
-    over the automorphism action), and a connected UH algebra has height+1
-    orbits of single elements."""
+    """Certificate labels count tuple orbits exactly (against marking
+    every image of each unmarked tuple under the automorphism group), and
+    a connected UH algebra has height+1 orbits of single elements."""
     ok = True
     for n in range(1, 6):
         for A in corpus[n]:
@@ -117,7 +117,7 @@ def test_criterion_04_orbit_counts(corpus, capsys):
     ok = ok and checked > 0
     _verdict(
         capsys, 4,
-        f"orbit counts match union-find (n<=5, arity<=3); o1 = height+1 on "
+        f"orbit counts match the brute force (n<=5, arity<=3); o1 = height+1 on "
         f"{checked} connected UH classes", ok,
     )
 

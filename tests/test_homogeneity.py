@@ -3,14 +3,16 @@ separating the eight conditions of the lattice."""
 
 import copy
 import pickle
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from monoalg import homogeneity as hom
 from monoalg.core import FiniteMonounary, PartialMonounary, validate
-from oracles import tables
+from monoalg.iso import brute_force_automorphisms
+from oracles import all_extend, one_generated, subalgebras, tables
 
 
 def test_uh_examples():
@@ -214,3 +216,43 @@ def test_multiunary_agrees_with_single_operation_oracle(corpus):
         got = hom.multiunary_brute_check([A.table])
         assert got["is_ultrahomogeneous"] == hom.is_ultrahomogeneous_oracle(A)
         assert got["is_1_ultrahomogeneous"] == hom.is_1_ultrahomogeneous_oracle(A)
+
+
+# ---------------------------------------------------------------------------
+# the oracles' shortcuts against their literal versions
+
+def test_subalgebras_are_the_unions_of_the_one_generated(corpus):
+    for reps in corpus.values():
+        for A in reps:
+            generated = hom._generated([A.table])
+            assert generated == one_generated([A.table])
+            assert hom._subalgebras(generated) == subalgebras([A.table])
+
+
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=2, max_size=2)))
+@settings(max_examples=60, deadline=None)
+def test_subalgebras_of_two_tables_are_the_unions_of_the_one_generated(tabs):
+    generated = hom._generated(tabs)
+    assert generated == one_generated(tabs)
+    assert hom._subalgebras(generated) == subalgebras(tabs)
+
+
+def test_each_unordered_pair_of_sets_is_read_once(corpus):
+    """_all_extend, which reads each unordered pair of sets once, against
+    every ordered pair, on the four families of every class with up to 6
+    points (the k-element ones up to k = 3 at 6 points, where the larger
+    k hold most of the literal version's time): with the whole group, and
+    with the identity alone, which a nontrivial automorphism of the whole
+    domain fails."""
+    for reps in corpus.values():
+        for A in reps:
+            tables, points = [A.table], range(A.n)
+            auts, identity = brute_force_automorphisms(A), [tuple(points)]
+            subs = subalgebras(tables)
+            families = [subs, one_generated(tables)]
+            for k in range(1, (A.n if A.n < 6 else 3) + 1):
+                families += [[S for S in subs if len(S) == k], list(combinations(points, k))]
+            for sets in families:
+                for group in (auts, identity):
+                    assert hom._all_extend(tables, group, sets) == all_extend(tables, group, sets), (A.table, sets)
+            assert len(auts) == 1 or not hom._all_extend(tables, identity, subs)

@@ -1,5 +1,6 @@
-"""Orbits of points and tuple-orbit counts against the union-find brute
-force, and at sizes the brute force cannot reach against marked
+"""Orbits of points and tuple-orbit counts against the brute force that
+marks every image of each unmarked tuple (itself checked against
+union-find), and at sizes the brute force cannot reach against marked
 certificates and automorphism extension."""
 
 import time
@@ -12,7 +13,7 @@ from monoalg import core, iso, orbits, symbolic
 from monoalg.core import FiniteMonounary, validate
 from monoalg.iso import brute_force_automorphisms
 from monoalg.symbolic import Cardinal
-from oracles import symmetric_tables, tables
+from oracles import orbit_count_union_find, symmetric_tables, tables
 
 
 def test_one_orbits_examples():
@@ -118,6 +119,17 @@ def test_label_count_matches_union_find(tab, k):
     A = FiniteMonounary(tab)
     auts = brute_force_automorphisms(A)
     assert orbits.n_orbit_count(A, k) == orbits.n_orbit_count_bruteforce(A, k, auts=auts)
+
+
+def test_marking_counts_the_union_find_orbits(corpus):
+    """Marking every image of each unmarked tuple against union-find over
+    every (tuple, automorphism) pair, on every class with up to 6 points,
+    to arity 3 on up to 5 points and to arity 2 on 6."""
+    for n, reps in corpus.items():
+        for A in reps:
+            auts = brute_force_automorphisms(A)
+            for k in range(1, (3 if n < 6 else 2) + 1):
+                assert orbits.n_orbit_count_bruteforce(A, k, auts=auts) == orbit_count_union_find(auts, n, k), (A.table, k)
 
 
 @given(tables(max_n=5), st.integers(1, 3))
