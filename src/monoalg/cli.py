@@ -21,7 +21,8 @@ An algebra argument is a file path (JSON {"n":..,"f":[..]} or a text
 table "f: 0 0 1"), the same two forms inline, "random:N:SEED", or, for
 the verbs that accept shapes, a symbolic sum such as "2*A[3;w,2]+w*B[w]".
 Exit codes: 0 holds/done, 1 property fails, 2 error.  MONOALG_BOUND sets
-the default oracle bound (otherwise 8); it and --bound must be at least 1.
+the default oracle bound (otherwise 8); it and --bound must be at least 1
+and at most 9.
 
 run() is the process entry, which `python -m monoalg.cli` and the
 `monoalg` script call: it flushes the answer and leaves without the
@@ -53,6 +54,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -70,14 +72,19 @@ _SHAPE = re.compile(r"[\dw\[\];,+*\s]*[ZNAB][\dwZNAB\[\];,+*\s]*")
 
 
 def _bound(text: str) -> int:
-    """An oracle bound as given to --bound or MONOALG_BOUND: an integer of
-    at least 1."""
+    """An oracle bound as given to --bound or MONOALG_BOUND: an integer
+    from 1 to core.MAX_BOUND."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    if value > core.MAX_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {core.MAX_BOUND}, got {text!r}: an oracle filters all n! permutations of"
+            f" n points, {math.factorial(core.MAX_BOUND)} at n = {core.MAX_BOUND}"
+        )
     return value
 
 

@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 # stated limits, kept here so that building the CLI's parser reads them
 # without importing the modules that enforce them
 DEFAULT_BOUND = 8  # largest domain the brute-force oracles search
+MAX_BOUND = 9  # the most a bound may be: an oracle filters all n! permutations, 9! = 362880
 MAX_POINTS = 12  # largest n that enumeration builds every class for (57903 classes)
 
 

@@ -376,6 +376,23 @@ def test_bound_below_one_is_refused_when_parsed(capsys, monkeypatch, value):
         assert f"--bound: must be an integer of at least 1, got '{value}'" in capsys.readouterr().err
 
 
+def test_bound_over_the_ceiling_is_refused_when_parsed(capsys, monkeypatch):
+    """A bound over core.MAX_BOUND would let an oracle filter n! permutations
+    for as long as n! takes; it is refused with the limit and that cost."""
+    monkeypatch.setenv("MONOALG_BOUND", "99999999999999999999")
+    code, out, err = run(capsys, "aut", "random:50:1", "--oracle")
+    assert code == 2 and not out
+    assert "MONOALG_BOUND must be at most 9, got '99999999999999999999'" in err and "362880 at n = 9" in err
+    monkeypatch.delenv("MONOALG_BOUND")
+    for verb in (["classify"], ["aut", "--oracle"], ["check", "uh", "--oracle"], ["semilinear", "--root", "0"]):
+        argv = [*verb, "f: 1 0 0", "--bound", "10"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "argument --bound: must be at most 9, got '10'" in capsys.readouterr().err
+    assert run(capsys, "check", "uh", "f: 1 2 0", "--oracle", "--bound", "9")[0] == 0
+
+
 def test_bound_of_one_is_a_bound(capsys):
     code, _, err = run(capsys, "aut", "f: 0 0", "--oracle", "--bound", "1")
     assert code == 2 and "bound exceeded: n=2 > 1" in err
