@@ -50,8 +50,8 @@ def check_aut_equality(
     pairs of the k points: a permutation p maps the finite relation L
     into itself iff onto itself, p x p being injective); returns the
     verdict with both lists (local indices into the ascending element
-    list), each in the order of the permutations tried.  The tree and its order come straight
-    from the definitions, not from build_order."""
+    list), each in the order of the permutations tried.  The tree and
+    its order come straight from the definitions, not from build_order."""
     f, n = A.table, A.n
     if not 0 <= c < n:
         raise ValueError(f"element out of range: {c}")

@@ -105,7 +105,11 @@ def grid() -> list[tuple[list[str], dict[str, str]]]:
         json_too(["aut", x])
     # a bound over core.MAX_BOUND is refused as the arguments are parsed;
     # check's usage line, which wraps, is left out
-    for argv in (["aut", "f: 0 0 0 1", "--oracle"], ["classify", "f: 1 0 0"], ["semilinear", "f: 0 0 0 1", "--root", "0"]):
+    for argv in (
+        ["aut", "f: 0 0 0 1", "--oracle"],
+        ["classify", "f: 1 0 0"],
+        ["semilinear", "f: 0 0 0 1", "--root", "0"],
+    ):
         calls.append([*argv, "--bound", "10"])
 
     for k in ([], ["--k", "0"], ["--k", "1"], ["--k", "2"], ["--k", "3"], ["--k", "-1"]):

@@ -229,7 +229,11 @@ def test_subalgebras_are_the_unions_of_the_one_generated(corpus):
             assert hom._subalgebras(generated) == subalgebras([A.table])
 
 
-@given(st.integers(1, 6).flatmap(lambda n: st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=2, max_size=2)))
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, n - 1)] * n), min_size=2, max_size=2)
+    )
+)
 @settings(max_examples=60, deadline=None)
 def test_subalgebras_of_two_tables_are_the_unions_of_the_one_generated(tabs):
     generated = hom._generated(tabs)
