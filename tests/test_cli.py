@@ -18,9 +18,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import monoalg
-from monoalg import cli, homogeneity, iso, orbits, schemas, symbolic
+from monoalg import cli, homogeneity, iso, orbits, symbolic
 from monoalg.cli import main
 from monoalg.core import MAX_POINTS, from_text
+import schemas
 
 
 def run(capsys, *argv):
