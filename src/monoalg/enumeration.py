@@ -10,15 +10,27 @@ SIAM J. Comput. 1980) and no raw table is ever swept:
   at its least rotation;
 - a class is a multiset of connected classes.
 
-Each class is laid out once and relabelled to the lexicographically
-least table of its class, and the corpus lists these ascending: the list
-a sweep over all n^n tables bucketed by certificate would give.  n is
-capped at core.MAX_POINTS = 12 (57903 classes).
+Each class is represented by the lexicographically least table of its
+class, and the corpus lists these ascending: the list a sweep over all
+n^n tables bucketed by certificate would give.  That table is found once
+per connected class (26880 of them on at most 12 points, against 57903
+classes), and each class's is a concatenation of its components'.  When
+label i has no point yet, the labelled points are closed under f.  A
+child of a labelled point then gives entry i a label below i, while the
+start of a new component gives i or more, and a shorter new cycle comes
+back to i sooner.  So the least labelling finishes one component before
+it starts the next, and starts the shortest unlabelled cycle first: a
+class's least table is its components' least tables, each shifted by the
+number of points before it, ordered by cycle length and then by least
+table, with a table that is a proper prefix of another placed after it.
+At the first position past the shorter table, the longer one names a
+point below the shift, while the next component's first entry is the
+shift or more.  n is capped at core.MAX_POINTS = 12.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import MAX_POINTS, FiniteMonounary, _least_rotation
 
@@ -102,28 +114,26 @@ def _connected_tables(n: int) -> tuple[list[tuple[tuple[int, ...], tuple[int, ..
 # ---------------------------------------------------------------------------
 # least table of a class
 
-def _least_table(table: Sequence[int], orbit: Sequence[tuple], cycle_len: Sequence[int]) -> tuple[int, ...]:
-    """The lexicographically least table isomorphic to `table`, given each
-    point's cycle length (0 off a cycle) and (class id, type) orbit key.
+def _least_table(table: Sequence[int], types: Sequence[int], k: int) -> tuple[int, ...]:
+    """The lexicographically least table isomorphic to one connected
+    class, laid out as _connected_tables lays it out: its cycle on points
+    0..k-1, and each point's type.
 
     Labels 0, 1, ... go to points in turn; position i of the new table is
     the label of f(p) for the point p labelled i, where f(p) keeps its
-    label or takes the next free one.  When no point has label i yet, the
-    labelled points are closed under f and p is chosen:
-    - least of all, a child of the least-labelled point with unlabelled
-      children;
-    - failing that, the unlabelled points are whole components, and p
-      starts a shortest unlabelled cycle, which closes soonest.
-    Candidates with one orbit key (siblings with one tree id, or cycle
-    points in copies of one class at one phase) are interchangeable by
-    an automorphism fixing every labelled point, so one is tried per
-    key.  All labellings whose prefix ties the least one are carried
-    along together."""
+    label or takes the next free one.  Label 0 goes to a cycle point, and
+    following f labels the whole cycle.  Whenever no point has label i
+    yet, the labelled points are closed under f, and p is a child of the
+    least-labelled point with unlabelled children, the least next entry
+    any labelling can give.  Candidates of one type (cycle points at one
+    phase, or siblings with one tree id) are interchangeable by an
+    automorphism fixing every labelled point, so one is tried per type.
+    All labellings whose prefix ties the least one are carried along
+    together."""
     n = len(table)
     kids: list[list[int]] = [[] for _ in table]
-    for x, v in enumerate(table):
-        if not cycle_len[x]:
-            kids[v].append(x)
+    for x in range(k, n):
+        kids[table[x]].append(x)
     # a state: label per point (-1 if none), points in label order, and
     # the least label that may still have unlabelled children
     states = [([-1] * n, [], 0)]
@@ -134,15 +144,14 @@ def _least_table(table: Sequence[int], orbit: Sequence[tuple], cycle_len: Sequen
             if i < len(pts):
                 branches = [(lab, pts, scan)]
             else:
-                while scan < i and all(lab[c] >= 0 for c in kids[pts[scan]]):
-                    scan += 1
-                if scan < i:
+                if i:
+                    while all(lab[c] >= 0 for c in kids[pts[scan]]):
+                        scan += 1
                     picks = [c for c in kids[pts[scan]] if lab[c] < 0]
                 else:
-                    k = min(c for c, l in zip(cycle_len, lab) if c and l < 0)
-                    picks = [x for x in range(n) if cycle_len[x] == k and lab[x] < 0]
+                    picks = range(k)
                 branches = []
-                for p in {orbit[p]: p for p in picks}.values():
+                for p in {types[p]: p for p in picks}.values():
                     b = lab.copy()
                     b[p] = i
                     branches.append((b, pts + [p], scan))
@@ -161,21 +170,25 @@ def _least_table(table: Sequence[int], orbit: Sequence[tuple], cycle_len: Sequen
     return tuple(out)
 
 
+def _concatenate(components: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
+    """The least table of the class whose components have these cycle
+    lengths and least tables: the tables one after another, each shifted
+    by the number of points before it, by cycle length and then by least
+    table.  A table's length as its last entry puts it after every longer
+    table it is a prefix of, which names a point below the shift there."""
+    table: list[int] = []
+    for _, least in sorted(components, key=lambda c: (c[0], c[1] + (len(c[1]),))):
+        table += [len(table) + v for v in least]
+    return tuple(table)
+
+
 def enumerate_up_to_iso(n: int) -> Corpus:
     if not 1 <= n <= MAX_POINTS:
         raise ValueError(f"n must be between 1 and {MAX_POINTS}, got {n}")
     connected, upto = _connected_tables(n)
     sizes = [len(t) for t, _, _ in connected]
-    reps = []
-    for parts in _multisets(sizes, upto, n, len(connected)):
-        table, orbit, cycle_len = [], [], []
-        for c in parts:
-            t, types, k = connected[c]
-            cycle_len += [k] * k + [0] * (len(t) - k)
-            orbit += [(c, x) for x in types]
-            table += [len(table) + v for v in t]
-        reps.append(_least_table(table, orbit, cycle_len))
-    reps.sort()
+    least = [(k, _least_table(t, types, k)) for t, types, k in connected]
+    reps = sorted(_concatenate(least[c] for c in parts) for parts in _multisets(sizes, upto, n, len(connected)))
     return Corpus(n, tuple(FiniteMonounary(t) for t in reps))
 
 
@@ -226,5 +239,5 @@ def load_corpus(path: str) -> Corpus:
             except ValueError as exc:
                 raise ValueError(f"{path}, line {lineno}: {exc}") from None
     if len(reps) != count:
-        raise ValueError(f"corpus header promises {count} tables, found {len(reps)}")
+        raise ValueError(f"{path}, line 1: corpus header promises {count} tables, found {len(reps)}")
     return Corpus(n, tuple(reps))

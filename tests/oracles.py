@@ -10,6 +10,7 @@ certificates are checked against bijection search in test_iso.py.
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
+from typing import Sequence
 
 import hypothesis.strategies as st
 
@@ -243,6 +244,67 @@ def least_relabelling(t):
         if best is None or q < best:
             best = q
     return tuple(best)
+
+
+# the search that enumeration ran on each whole multiset of connected
+# classes, before it built each class from its components' least tables
+def least_table_by_search(table: Sequence[int], orbit: Sequence[tuple], cycle_len: Sequence[int]) -> tuple[int, ...]:
+    """The lexicographically least table isomorphic to `table`, given each
+    point's cycle length (0 off a cycle) and (class id, type) orbit key.
+
+    Labels 0, 1, ... go to points in turn; position i of the new table is
+    the label of f(p) for the point p labelled i, where f(p) keeps its
+    label or takes the next free one.  When no point has label i yet, the
+    labelled points are closed under f and p is chosen:
+    - least of all, a child of the least-labelled point with unlabelled
+      children;
+    - failing that, the unlabelled points are whole components, and p
+      starts a shortest unlabelled cycle, which closes soonest.
+    Candidates with one orbit key (siblings with one tree id, or cycle
+    points in copies of one class at one phase) are interchangeable by
+    an automorphism fixing every labelled point, so one is tried per
+    key.  All labellings whose prefix ties the least one are carried
+    along together."""
+    n = len(table)
+    kids: list[list[int]] = [[] for _ in table]
+    for x, v in enumerate(table):
+        if not cycle_len[x]:
+            kids[v].append(x)
+    # a state: label per point (-1 if none), points in label order, and
+    # the least label that may still have unlabelled children
+    states = [([-1] * n, [], 0)]
+    out = []
+    for i in range(n):
+        best, ties = n, []
+        for lab, pts, scan in states:
+            if i < len(pts):
+                branches = [(lab, pts, scan)]
+            else:
+                while scan < i and all(lab[c] >= 0 for c in kids[pts[scan]]):
+                    scan += 1
+                if scan < i:
+                    picks = [c for c in kids[pts[scan]] if lab[c] < 0]
+                else:
+                    k = min(c for c, l in zip(cycle_len, lab) if c and l < 0)
+                    picks = [x for x in range(n) if cycle_len[x] == k and lab[x] < 0]
+                branches = []
+                for p in {orbit[p]: p for p in picks}.values():
+                    b = lab.copy()
+                    b[p] = i
+                    branches.append((b, pts + [p], scan))
+            for state in branches:
+                lab, pts, _ = state
+                y = table[pts[i]]
+                if lab[y] < 0:
+                    lab[y] = len(pts)
+                    pts.append(y)
+                if lab[y] < best:
+                    best, ties = lab[y], [state]
+                elif lab[y] == best:
+                    ties.append(state)
+        out.append(best)
+        states = ties
+    return tuple(out)
 
 
 def _euler_transform(a):

@@ -3,12 +3,15 @@ the sweep over all tables, representative canonicity, determinism,
 corpus files."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from monoalg import core, enumeration, iso
 from monoalg.iso import table_certificate
-from oracles import exists_iso, least_relabelling, polya_class_counts, sweep_corpus
+from oracles import exists_iso, least_relabelling, least_table_by_search, polya_class_counts, sweep_corpus
 
 # class counts for 1..5 points (OEIS A001372); Pólya counting checks
 # them further in test_counts_equal_polya_counting
@@ -79,6 +82,63 @@ def test_enumeration_builds_no_skeleton_and_no_labelling(monkeypatch):
     assert len(enumeration.enumerate_up_to_iso(8).representatives) == 951
 
 
+CONNECTED, CONNECTED_UPTO = enumeration._connected_tables(8)
+
+
+def _within(points):
+    """The longest prefix of a list of connected class ids that has at
+    most `points` points in all."""
+    def cut(ids):
+        total = 0
+        for j, c in enumerate(ids):
+            total += len(CONNECTED[c][0])
+            if total > points:
+                return ids[:j]
+        return ids
+    return cut
+
+
+# a few connected classes on 1..8 points, each size alike likely, drawn
+# again and again so that copies of one class meet in a multiset
+multisets = st.lists(
+    st.integers(1, 8).flatmap(lambda m: st.integers(CONNECTED_UPTO[m - 1], CONNECTED_UPTO[m] - 1)),
+    min_size=1, max_size=4,
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=20)).map(_within(30))
+
+
+@given(multisets)
+@settings(max_examples=150, deadline=None)
+def test_concatenation_equals_the_search_over_the_whole_multiset(parts):
+    """The least table of a multiset of connected classes, on up to 30
+    points, is its components' least tables concatenated; on up to 8
+    points it is also the least over every relabelling."""
+    table, orbit, cycle_len = [], [], []
+    for c in parts:
+        t, types, k = CONNECTED[c]
+        cycle_len += [k] * k + [0] * (len(t) - k)
+        orbit += [(c, x) for x in types]
+        table += [len(table) + v for v in t]
+    least = enumeration._concatenate((CONNECTED[c][2], enumeration._least_table(*CONNECTED[c])) for c in parts)
+    assert least == least_table_by_search(table, orbit, cycle_len)
+    if len(table) <= 8:
+        assert least == least_relabelling(table)
+
+
+def test_least_table_runs_once_per_connected_class(monkeypatch):
+    """Each connected class on at most 8 points is solved once (541 of
+    them, OEIS A002861 summed), not once in each of the 951 classes."""
+    calls = []
+    least_table = enumeration._least_table
+
+    def counted(*args):
+        calls.append(args)
+        return least_table(*args)
+
+    monkeypatch.setattr(enumeration, "_least_table", counted)
+    assert len(enumeration.enumerate_up_to_iso(8).representatives) == 951
+    assert len(calls) == len(set(calls)) == len(CONNECTED) == 541
+
+
 def test_bounds():
     with pytest.raises(ValueError):
         enumeration.enumerate_up_to_iso(0)
@@ -100,7 +160,7 @@ def test_corpus_save_load_round_trip(tmp_path, corpus):
 def test_load_corpus_validates_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("# n=2 count=3\n0 0\n1 0\n")
-    with pytest.raises(ValueError, match="promises"):
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 1: corpus header promises 3 tables, found 2")):
         enumeration.load_corpus(str(path))
     path.write_text("0 0\n")
     with pytest.raises(ValueError, match="header"):
