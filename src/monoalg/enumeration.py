@@ -22,7 +22,9 @@ back to i sooner.  So the least labelling finishes one component before
 it starts the next, and starts the shortest unlabelled cycle first: a
 class's least table is its components' least tables, each shifted by the
 number of points before it, ordered by cycle length and then by least
-table, with a table that is a proper prefix of another placed after it.
+table (the order of the least tables alone, as each begins with its
+cycle 1, 2, ..., k-1, 0), with a table that is a proper prefix of
+another placed after it.
 At the first position past the shorter table, the longer one names a
 point below the shift, while the next component's first entry is the
 shift or more.  n is capped at core.MAX_POINTS = 12.
@@ -121,14 +123,15 @@ def _least_table(table: Sequence[int], types: Sequence[int], k: int) -> tuple[in
 
     Labels 0, 1, ... go to points in turn; position i of the new table is
     the label of f(p) for the point p labelled i, where f(p) keeps its
-    label or takes the next free one.  Label 0 goes to a cycle point, and
-    following f labels the whole cycle.  Whenever no point has label i
-    yet, the labelled points are closed under f, and p is a child of the
-    least-labelled point with unlabelled children, the least next entry
-    any labelling can give.  Candidates of one type (cycle points at one
-    phase, or siblings with one tree id) are interchangeable by an
-    automorphism fixing every labelled point, so one is tried per type.
-    All labellings whose prefix ties the least one are carried along
+    label or takes the next free one.  Label 0 goes to a cycle point,
+    whose path under f comes back soonest, and following f labels the
+    whole cycle.  Whenever no point has label i yet, the labelled points
+    are closed under f, so p is a child of the least-labelled point that
+    has unlabelled children: entry i, that point's label, is the least
+    any choice gives.  Candidates of one type (cycle points at one phase,
+    or siblings with one tree id) are interchangeable by an automorphism
+    fixing every labelled point, so one is tried per type.  All
+    labellings whose prefix ties the least one are carried along
     together."""
     n = len(table)
     kids: list[list[int]] = [[] for _ in table]
@@ -170,14 +173,17 @@ def _least_table(table: Sequence[int], types: Sequence[int], k: int) -> tuple[in
     return tuple(out)
 
 
-def _concatenate(components: Iterable[tuple[int, tuple[int, ...]]]) -> tuple[int, ...]:
-    """The least table of the class whose components have these cycle
-    lengths and least tables: the tables one after another, each shifted
-    by the number of points before it, by cycle length and then by least
-    table.  A table's length as its last entry puts it after every longer
-    table it is a prefix of, which names a point below the shift there."""
+def _concatenate(components: Iterable[tuple[int, ...]]) -> tuple[int, ...]:
+    """The least table of the class whose components have these least
+    tables: the tables one after another in ascending order, each shifted
+    by the number of points before it.  A least table begins with its
+    cycle, 1, 2, ..., k-1, 0, so this order is by cycle length first.  A
+    table's length, appended as a last entry, puts it after every longer
+    table that it is a prefix of: at that position the longer table names
+    a point below the shift, and the next component's first entry is the
+    shift or more."""
     table: list[int] = []
-    for _, least in sorted(components, key=lambda c: (c[0], c[1] + (len(c[1]),))):
+    for least in sorted(components, key=lambda t: t + (len(t),)):
         table += [len(table) + v for v in least]
     return tuple(table)
 
@@ -187,7 +193,7 @@ def enumerate_up_to_iso(n: int) -> Corpus:
         raise ValueError(f"n must be between 1 and {MAX_POINTS}, got {n}")
     connected, upto = _connected_tables(n)
     sizes = [len(t) for t, _, _ in connected]
-    least = [(k, _least_table(t, types, k)) for t, types, k in connected]
+    least = [_least_table(*c) for c in connected]
     reps = sorted(_concatenate(least[c] for c in parts) for parts in _multisets(sizes, upto, n, len(connected)))
     return Corpus(n, tuple(FiniteMonounary(t) for t in reps))
 

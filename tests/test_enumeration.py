@@ -4,6 +4,7 @@ corpus files."""
 
 import random
 import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -85,17 +86,10 @@ def test_enumeration_builds_no_skeleton_and_no_labelling(monkeypatch):
 CONNECTED, CONNECTED_UPTO = enumeration._connected_tables(8)
 
 
-def _within(points):
+def _at_most_30_points(ids):
     """The longest prefix of a list of connected class ids that has at
-    most `points` points in all."""
-    def cut(ids):
-        total = 0
-        for j, c in enumerate(ids):
-            total += len(CONNECTED[c][0])
-            if total > points:
-                return ids[:j]
-        return ids
-    return cut
+    most 30 points in all."""
+    return ids[:sum(total <= 30 for total in accumulate(len(CONNECTED[c][0]) for c in ids))]
 
 
 # a few connected classes on 1..8 points, each size alike likely, drawn
@@ -103,7 +97,7 @@ def _within(points):
 multisets = st.lists(
     st.integers(1, 8).flatmap(lambda m: st.integers(CONNECTED_UPTO[m - 1], CONNECTED_UPTO[m] - 1)),
     min_size=1, max_size=4,
-).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=20)).map(_within(30))
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=20)).map(_at_most_30_points)
 
 
 @given(multisets)
@@ -118,7 +112,7 @@ def test_concatenation_equals_the_search_over_the_whole_multiset(parts):
         cycle_len += [k] * k + [0] * (len(t) - k)
         orbit += [(c, x) for x in types]
         table += [len(table) + v for v in t]
-    least = enumeration._concatenate((CONNECTED[c][2], enumeration._least_table(*CONNECTED[c])) for c in parts)
+    least = enumeration._concatenate(enumeration._least_table(*CONNECTED[c]) for c in parts)
     assert least == least_table_by_search(table, orbit, cycle_len)
     if len(table) <= 8:
         assert least == least_relabelling(table)
